@@ -1,12 +1,10 @@
 """Span extraction vs acceptance-only scanning vs stdlib ``re.finditer``.
 
 The span engine (DESIGN.md §3.7) pays two linear passes where acceptance
-pays one: the right-to-left start pass (a mask scan, ~2 list picks per
-byte) plus the sparse forward emission walks.  The tentpole acceptance
-claim is that on a grep-shaped workload (sparse matches in bulk text)
-span extraction stays within **3×** of the acceptance-only scan at
-``p = 1`` — and the chunk-parallel start pass and stride kernels then
-claw the difference back.
+pays one: the right-to-left start pass (lane-parallel above a few KiB)
+plus the sparse forward emission walks.  The tentpole acceptance claim is
+that on a grep-shaped workload (sparse matches in bulk text) span
+extraction stays within **3×** of the acceptance-only scan at ``p = 1``.
 
 Spans are also cross-checked byte-identical against ``re.finditer`` on
 this workload (the pattern has no greedy/longest divergence).

@@ -216,9 +216,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-# Below this input size, chunked dispatch cannot amortize its per-call
-# setup (the Fig. 10 crossover) — grep scans smaller files serially.
-# Overridable per run with ``--parallel-threshold``.
+# Below this input size grep never consults the planner (no calibration
+# read for small files).  The span engine itself picks its scalar or lane
+# passes by input size either way.  Overridable with
+# ``--parallel-threshold``.
 GREP_EXECUTOR_MIN_BYTES = 4096
 
 #: How many leading bytes are NUL-sniffed to classify a file as binary.
@@ -285,9 +286,9 @@ def _grep_scan_file(m, path: str, args: argparse.Namespace):
     """Scan one file; returns ``(spans, data, num_lines, newline_index)``.
 
     ``None`` marks a skipped binary file.  Files at least
-    ``--parallel-threshold`` bytes long engage the chunked scan path
-    (``--chunks``/``--executor``/``--kernel``); smaller files take the
-    serial span pass, which has no dispatch overhead to amortize.
+    ``--parallel-threshold`` bytes long resolve ``--plan`` and the legacy
+    knobs; smaller files skip plan resolution.  Spans are identical either
+    way: the span engine picks its scalar or lane passes by input size.
     """
     data = _read_input(path)
     arr = np.frombuffer(data, dtype=np.uint8)
@@ -296,8 +297,7 @@ def _grep_scan_file(m, path: str, args: argparse.Namespace):
     engaged = len(arr) >= args.parallel_threshold
     prefilter = False if args.no_prefilter else None
     if not engaged:
-        # Below the crossover the chunked path cannot win: force the
-        # serial reference scan (and never consult the planner).
+        # Small file: skip plan resolution (and its calibration read).
         spans = m.span_engine().spans(
             data, num_chunks=1, executor=None, num_workers=args.workers,
             kernel="python", prefilter=prefilter,
@@ -1057,9 +1057,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--parallel-threshold", type=int, default=GREP_EXECUTOR_MIN_BYTES,
-        help="file size in bytes below which the chunked scan path "
-        "(--chunks/--executor/--kernel) is bypassed (default: the "
-        f"measured Fig. 10 crossover, {GREP_EXECUTOR_MIN_BYTES})",
+        help="file size in bytes below which grep skips plan resolution "
+        "(--plan/--chunks/--executor/--kernel); output is identical "
+        f"either way (default: {GREP_EXECUTOR_MIN_BYTES})",
     )
     p.set_defaults(func=_cmd_grep)
 

@@ -314,9 +314,10 @@ class CompiledPattern:
         spans of the pattern in ``data`` (DESIGN.md §3.7).
 
         ``plan`` resolves exactly as in :meth:`fullmatch`; the legacy
-        knobs ``num_chunks``/``executor``/``num_workers``/``kernel``
-        parallelize the whole-input start pass and override the plan when
-        passed.  Spans are invariant under all of them.
+        knobs ``num_chunks``/``executor``/``num_workers``/``kernel`` are
+        validated and override the plan when passed, but the span passes
+        run in NumPy lanes in-process whatever they say, so spans are
+        invariant under all of them.
         ``prefilter=False`` disables the literal skip-ahead (§3.9.3);
         spans are invariant under that too.  Semantics match
         ``re.finditer`` except that alternation resolves to the *longest*

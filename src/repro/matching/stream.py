@@ -198,7 +198,6 @@ class StreamingSpanMatcher:
         # lockstep stride kernels of the "stream" task don't apply to the
         # reversed-DFA start pass.
         self.plan = resolve_plan(plan, "spans", -1, subject=pattern)
-        self._ex = self.plan.resolve_executor()
         self._buf = bytearray()
         self._base = 0  # global stream offset of _buf[0]
         self._done = False
@@ -218,9 +217,7 @@ class StreamingSpanMatcher:
             raise MatchEngineError("stream already finished")
         self._buf += block
         classes = self.engine.partition.translate(self._buf)
-        bits = self.engine.start_bits(
-            classes, self.plan.num_chunks, self._ex, self.plan.kernel
-        )
+        bits = self.engine.start_bits(classes)
         alive = self.engine.alive_bits(classes)
         spans, hold = self.engine._emit(classes, bits, alive=alive)
         if hold is None:
@@ -236,9 +233,7 @@ class StreamingSpanMatcher:
             return []
         self._done = True
         classes = self.engine.partition.translate(self._buf)
-        bits = self.engine.start_bits(
-            classes, self.plan.num_chunks, self._ex, self.plan.kernel
-        )
+        bits = self.engine.start_bits(classes)
         spans, _ = self.engine._emit(classes, bits)
         out = [(s + self._base, e + self._base) for s, e in spans]
         self._base += len(self._buf)

@@ -59,30 +59,25 @@ class ChunkExecutor:
         self,
         kind: str,
         table: np.ndarray,
-        initial,
+        initial: int,
         classes: np.ndarray,
         spans: Sequence[Tuple[int, int]],
         kernel: str = "python",
-        accept: Optional[np.ndarray] = None,
     ) -> List[Any]:
         """Run the named table-scan kernel over contiguous spans of ``classes``.
 
         ``kernel`` picks the scan shape (``"python"`` reference loop or the
-        ``"vector"`` block-composed path; see :mod:`repro.parallel.scan`).
-        ``initial`` is one state for every span, or a sequence with one
-        entry per span (the span engine's stitched boundary states —
-        DESIGN.md §3.7); ``accept`` rides along for ``"mask"`` scans.
-        Default implementation: delegate to :meth:`map` with in-process
-        views (``classes[a:b]`` never copies).  :class:`ProcessExecutor`
-        overrides this with the shared-memory protocol.
+        ``"vector"`` block-composed path; see :mod:`repro.parallel.scan`);
+        every span starts from ``initial``.  Default implementation:
+        delegate to :meth:`map` with in-process views (``classes[a:b]``
+        never copies).  :class:`ProcessExecutor` overrides this with the
+        shared-memory protocol.
         """
-        inits = _span_initials(initial, spans)
         return self.map(
-            lambda task: run_scan(
-                kind, table, task[1], classes[task[0][0] : task[0][1]], kernel,
-                accept,
+            lambda span: run_scan(
+                kind, table, initial, classes[span[0] : span[1]], kernel
             ),
-            list(zip(spans, inits)),
+            list(spans),
         )
 
     def close(self) -> None:
@@ -93,17 +88,6 @@ class ChunkExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _span_initials(initial, spans: Sequence[Tuple[int, int]]) -> List[int]:
-    """Normalize the ``initial`` scan operand to one state per span."""
-    if isinstance(initial, (list, tuple, np.ndarray)):
-        if len(initial) != len(spans):
-            raise MatchEngineError(
-                f"{len(initial)} initial states for {len(spans)} spans"
-            )
-        return [int(q) for q in initial]
-    return [int(initial)] * len(spans)
 
 
 class SerialExecutor(ChunkExecutor):
@@ -337,12 +321,11 @@ def _attach_table(ref: ShmRef) -> np.ndarray:
 
 def _scan_shared_task(task) -> Any:
     """Worker entry point: one chunk scan against shared-memory views."""
-    kind, table_ref, initial, classes_ref, a, b, kernel, accept_ref = task
+    kind, table_ref, initial, classes_ref, a, b, kernel = task
     table = _attach_table(table_ref)
-    accept = _attach_table(accept_ref) if accept_ref is not None else None
     seg, classes = _attach_view(classes_ref)
     try:
-        out = run_scan(kind, table, initial, classes[a:b], kernel, accept)
+        out = run_scan(kind, table, initial, classes[a:b], kernel)
         if isinstance(out, np.ndarray):
             out = np.array(out, copy=True)  # detach from the segment buffer
     finally:
@@ -576,42 +559,32 @@ class ProcessExecutor(ChunkExecutor):
             return int(initial)
         if kind == "transform":
             return np.arange(table.shape[0], dtype=np.int32)
-        if kind == "mask":
-            return np.zeros(0, dtype=np.bool_)
         raise MatchEngineError(f"unknown scan kind {kind!r}")
 
     def scan(
         self,
         kind: str,
         table: np.ndarray,
-        initial,
+        initial: int,
         classes: np.ndarray,
         spans: Sequence[Tuple[int, int]],
         kernel: str = "python",
-        accept: Optional[np.ndarray] = None,
     ) -> List[Any]:
         if not self.available:
-            return super().scan(kind, table, initial, classes, spans, kernel,
-                                accept)
-        inits = _span_initials(initial, spans)
+            return super().scan(kind, table, initial, classes, spans, kernel)
         # Empty spans (p > n splits) are resolved to identity results here
         # rather than shipped — an empty chunk scan is pure IPC overhead.
         live = [(i, a, b) for i, (a, b) in enumerate(spans) if b > a]
         results = [
-            self._identity_result(kind, table, q) for q in inits
+            self._identity_result(kind, table, initial) for _ in spans
         ]
         if not live:
             return results
         _, table_ref = self._publish(table, transient=False)
-        accept_ref = None
-        if accept is not None:
-            # Accept vectors are long-lived like tables (content-addressed,
-            # published once) — they belong to the automaton, not the call.
-            _, accept_ref = self._publish(accept, transient=False)
         cls_seg, cls_ref = self._publish(classes, transient=True)
         tasks = [
-            (kind, table_ref, inits[i], cls_ref, a, b, kernel, accept_ref)
-            for i, a, b in live
+            (kind, table_ref, int(initial), cls_ref, a, b, kernel)
+            for _, a, b in live
         ]
         try:
             if self.fresh_workers:
@@ -623,8 +596,7 @@ class ProcessExecutor(ChunkExecutor):
                 out = self._get_pool().map(_scan_shared_task, tasks)
         except OSError as e:  # pragma: no cover - pool died (e.g. fork limit)
             self.fallback_reason = f"{type(e).__name__}: {e}"
-            return super().scan(kind, table, initial, classes, spans, kernel,
-                                accept)
+            return super().scan(kind, table, initial, classes, spans, kernel)
         finally:
             cls_seg.close()
             try:

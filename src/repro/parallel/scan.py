@@ -13,10 +13,9 @@ Two scan *kinds* cover every chunked engine:
   one table lookup per character; returns the reached state index.
 * ``"transform"`` — Algorithm 3 chunk scan: simulate *all* states at once;
   returns the transformation vector.
-* ``"mask"`` — the span engine's per-position pass (DESIGN.md §3.7): walk
-  one state and record the accept bit *after every symbol*; returns a
-  boolean array.  Needs the automaton's ``accept`` vector alongside the
-  table, so the scan protocol carries an optional ``accept`` operand.
+
+:func:`mask_scan` — the span engine's scalar per-position pass (DESIGN.md
+§3.7) — lives here too, but is called in-process, never dispatched.
 
 Each kind can run under two scan *shapes* (DESIGN.md §3.5):
 
@@ -46,7 +45,7 @@ from repro.errors import MatchEngineError
 #: Kernel knob values accepted by the engines (and threaded down here).
 KERNELS = ("python", "stride2", "stride4", "vector")
 
-SCAN_KINDS = ("sfa", "transform", "mask")
+SCAN_KINDS = ("sfa", "transform")
 
 # ---------------------------------------------------------------------------
 # Per-table derived-view caches
@@ -190,13 +189,15 @@ def mask_scan(
     """Single-state walk recording the accept bit after every symbol.
 
     Returns ``out`` with ``out[j] = accept[state after classes[0..j]]``.
-    This is the span engine's start/alive pass (DESIGN.md §3.7): run over a
-    *reversed* input with the reversed-pattern automaton, ``out`` marks the
-    positions where a match begins.  Inherently scalar — the bit at every
-    position is demanded, so the stride kernels (which skip positions)
-    cannot apply.  When the automaton is renumbered accepting-last the
-    loop body is one list pick plus one int compare per symbol; otherwise
-    it falls back to a per-symbol accept-table lookup.
+    This is the span engine's scalar start/alive pass (DESIGN.md §3.7): run
+    over a *reversed* input with the reversed-pattern automaton, ``out``
+    marks the positions where a match begins.  The bit at every position
+    is demanded, so the stride kernels (which skip positions) cannot
+    apply; above its gate the span engine runs the lane start pass
+    instead, with this loop as its reference.  When the automaton is
+    renumbered accepting-last the loop body is one list pick plus one int
+    compare per symbol; otherwise it falls back to a per-symbol
+    accept-table lookup.
     """
     k = table.shape[1]
     flat = _scaled_flat(table)
@@ -348,7 +349,6 @@ def run_scan(
     initial: int,
     classes: np.ndarray,
     kernel: str = "python",
-    accept: "np.ndarray | None" = None,
 ) -> Union[int, np.ndarray]:
     """Dispatch a named kernel (``initial`` is ignored by ``"transform"``).
 
@@ -356,9 +356,6 @@ def run_scan(
     as ``"python"``/``"vector"`` over a precomposed table (the table swap
     and symbol packing happen in the engine), so ``"stride2"``/``"stride4"``
     here simply run the reference loop on whatever table they are given.
-    The ``"mask"`` kind additionally needs the automaton's ``accept``
-    vector and always runs the scalar loop (every position's bit is
-    demanded, so no kernel can skip positions).
     """
     if kernel not in KERNELS:
         raise MatchEngineError(
@@ -372,8 +369,4 @@ def run_scan(
         if kernel == "vector":
             return transform_scan_vector(table, classes)
         return transform_scan(table, classes)
-    if kind == "mask":
-        if accept is None:
-            raise MatchEngineError("mask scans need the accept vector")
-        return mask_scan(table, accept, initial, classes)
     raise MatchEngineError(f"unknown scan kind {kind!r}")

@@ -229,25 +229,15 @@ class Planner:
     def _span_candidates(
         self, n: int, cal: Calibration
     ) -> List[Tuple[float, Plan]]:
-        mb = n / 1e6
-        out: List[Tuple[float, Plan]] = [
-            # prefilter=None: the span engine applies its analyzer-chosen
-            # literal prefilter when one exists (§3.9.3) — the planner has
-            # no better information than the analyzer here.
-            (mb / cal.rate("spans_python"), Plan(kernel="python", num_chunks=1))
+        # One plan: the span engine's start pass and end walk run in NumPy
+        # lanes in-process (DESIGN.md §3.7), which beat chunk dispatch to a
+        # process pool on the measured 1-2-core hosts.  prefilter=None: the
+        # engine applies its analyzer-chosen literal prefilter when one
+        # exists (§3.9.3) — the planner has no better information here.
+        return [
+            (n / 1e6 / cal.rate("spans_python"),
+             Plan(kernel="python", num_chunks=1))
         ]
-        if self.cpu_count > 1 and n >= PARALLEL_MIN_BYTES:
-            p = self.cpu_count
-            speedup = 1 + (p - 1) * PROCESS_EFFICIENCY
-            t = mb / (cal.rate("spans_python") * speedup) + cal.dispatch_s(
-                "processes"
-            )
-            out.append((
-                t,
-                Plan(kernel="python", num_chunks=p, executor="processes",
-                     num_workers=p),
-            ))
-        return out
 
     def _blockscan_candidates(
         self, task: str, n: int, subject, cal: Calibration, strides: List[int]

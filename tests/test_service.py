@@ -9,6 +9,7 @@ pin the failure contract (structured errors, surviving bad clients).
 
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -17,6 +18,7 @@ import pytest
 
 from repro import compile_pattern
 from repro.errors import ServiceError
+from repro.matching import spans as spans_mod
 from repro.matching.multi import MultiPatternSet
 from repro.service.cache import ArtifactCache, pattern_key, ruleset_key
 from repro.service.client import ServiceClient
@@ -274,6 +276,33 @@ class TestServiceBasics:
             assert c.finditer("ERROR [0-9]+", data, chunks=4,
                               kernel="stride2") == want
             assert c.finditer("ERROR [0-9]+", data, limit=3) == want[:3]
+
+    def test_finditer_limit_zero_returns_no_spans(self, server):
+        with server.client() as c:
+            assert c.finditer("ab", b"abxab", limit=0) == []
+            assert c.finditer("ab", b"abxab", limit=1) == [(0, 2)]
+            err = c.request(
+                {"op": "finditer", "pattern": "ab", "limit": -1}, b"abxab",
+                check=False,
+            )
+            assert err["error"]["kind"] == "bad-request"
+
+    def test_finditer_above_lane_gates_equals_re(self, server):
+        rng = random.Random(17)
+        data = b"".join(
+            b"k%s=%d ip 10.%d.0.%d\n" % (
+                rng.choice([b"ey", b"", b"id"]), rng.randrange(1000),
+                rng.randrange(256), rng.randrange(256),
+            )
+            for _ in range(spans_mod.LANE_START_MIN // 4)
+        )
+        assert len(data) >= spans_mod.LANE_START_MIN
+        with server.client() as c:
+            for pattern in (r"[a-z]+=[0-9]+", r"[0-9]+\.[0-9]+\.[0-9]+"):
+                want = [x.span() for x in re.finditer(pattern.encode(), data)]
+                assert len(want) >= spans_mod.LANE_ENDS_MIN
+                assert c.finditer(pattern, data) == want
+                assert c.finditer(pattern, data, plan="auto") == want
 
     def test_multiscan_equivalence(self, server):
         data = b"pad abc pad a42b pad GET /index"

@@ -1,19 +1,25 @@
 """Unit tests for the span-extraction subsystem (DESIGN.md §3.7)."""
 
+import os
 import random
 import re
 import resource
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 from repro import MultiPatternSet, compile_pattern
+from repro.cli import main
 from repro.errors import MatchEngineError
+from repro.matching import spans as spans_mod
 from repro.matching.stream import (
     StreamingMultiSpanMatcher,
     StreamingSpanMatcher,
 )
+from repro.parallel.scan import mask_scan
+from tests.test_find_differential import random_payload, random_regex
 
 
 class TestSpanAPI:
@@ -71,6 +77,18 @@ class TestSpanAPI:
         m = compile_pattern("ab")
         assert m.span_engine() is m.span_engine()
 
+    def test_limit_zero_returns_no_spans(self):
+        eng = compile_pattern("ab").span_engine()
+        assert eng.spans(b"abxab", limit=0) == []
+        assert eng.spans(b"abxab", limit=1) == [(0, 2)]
+        assert eng.spans(b"abxab" * 2000, limit=0) == []  # lane end walk
+
+    def test_negative_limit_rejected(self):
+        eng = compile_pattern("ab").span_engine()
+        for bad in (-1, 1.5, "2"):
+            with pytest.raises(MatchEngineError):
+                eng.spans(b"abxab", limit=bad)
+
 
 class TestStartBits:
     def test_bits_mark_match_starts(self):
@@ -97,6 +115,192 @@ class TestStartBits:
                 for kernel in ("python", "stride2", "stride4", "vector"):
                     got = eng.start_bits(classes, p, None, kernel)
                     assert np.array_equal(got, base), (text, p, kernel)
+
+
+def _scalar_start_bits(eng, classes):
+    """The reference start pass: one scalar mask scan, right to left."""
+    bdfa = eng.bwd
+    n = len(classes)
+    bits = np.empty(n + 1, dtype=np.bool_)
+    bits[n] = bool(bdfa.accept[bdfa.initial])
+    if n:
+        bits[:n] = mask_scan(
+            bdfa.table, bdfa.accept, bdfa.initial, classes[::-1]
+        )[::-1]
+    return bits
+
+
+def _longest_end(eng, classes, s):
+    """Reference longest end of a match starting at ``s`` (``-1``: none)."""
+    fwd = eng.fwd
+    q = fwd.initial
+    last = s if fwd.accept[q] else -1
+    for i in range(s, len(classes)):
+        q = fwd.table[q, classes[i]]
+        if fwd.accept[q]:
+            last = i + 1
+    return last
+
+
+class TestLanePaths:
+    """The lane start pass and the batched end walk against the scalar
+    references, with tiny blocks, lanes, batches and work caps so every
+    lane boundary, ragged block, batch edge and scalar continuation is
+    exercised on short inputs."""
+
+    def _cases(self, seed, count):
+        rng = random.Random(seed)
+        fixed = ["a*", "b|", "(ab)*", "a|ab", "a*b|a", "x{2,3}", "[ab]+c?"]
+        for i in range(count):
+            pattern = fixed[i] if i < len(fixed) else random_regex(rng)
+            text = b"" if i % 9 == 0 else random_payload(rng, max_len=70)
+            yield rng, pattern, text
+
+    def test_start_pass_equals_mask_scan(self):
+        checked = 0
+        for rng, pattern, text in self._cases(2024, 240):
+            m = compile_pattern(pattern)
+            eng = m.span_engine()
+            classes = m.translate(text)
+            want = _scalar_start_bits(eng, classes)
+            for block in (1, 2, 5, 7, 64, 1 << 20):
+                for lane in (None, 1, 3, 4):
+                    got = eng.lane_start_bits(classes, block, lane)
+                    assert got is not None
+                    assert np.array_equal(got, want), (pattern, text, block, lane)
+                    checked += 1
+        assert checked >= 5000
+
+    def test_lane_ends_equal_scalar_walk(self):
+        for rng, pattern, text in self._cases(7, 160):
+            m = compile_pattern(pattern)
+            eng = m.span_engine()
+            classes = m.translate(text)
+            cand = np.arange(len(classes))
+            for cap in (0, 1, 3, 10**9):
+                ends, opened = eng.lane_ends(classes, cand, cap)
+                for i, s in enumerate(cand.tolist()):
+                    if i in opened:
+                        assert ends[i] == spans_mod.OPEN
+                        continue
+                    assert ends[i] == _longest_end(eng, classes, s), (
+                        pattern, text, s, cap)
+                if cap == 0:
+                    assert len(opened) == len(cand)  # scalar finishes all
+                if cap == 10**9:
+                    assert not opened
+
+    def test_emit_batch_and_stream_equal_scalar(self):
+        cases = 0
+        for rng, pattern, text in self._cases(31, 200):
+            m = compile_pattern(pattern)
+            eng = m.span_engine()
+            classes = m.translate(text)
+            exact = _scalar_start_bits(eng, classes)
+            # a superset of the true starts, as the literal prefilter gives
+            noisy = exact.copy()
+            noisy[: len(classes)] |= np.array(
+                [rng.random() < 0.3 for _ in range(len(classes))], dtype=bool
+            )
+            alive = eng.alive_bits(classes)
+            for bits in (exact, noisy):
+                want = eng._emit(classes, bits, batch=0)
+                want_stream = eng._emit(classes, bits, alive=alive, batch=0)
+                for batch in (1, 2, 5, 64):
+                    for work in (0, 1, 4):
+                        got = eng._emit(classes, bits, batch=batch, work=work)
+                        assert got == want, (pattern, text, batch, work)
+                        got = eng._emit(
+                            classes, bits, alive=alive, batch=batch, work=work
+                        )
+                        assert got == want_stream, (pattern, text, batch, work)
+                        for limit in (1, 2):
+                            got = eng._emit(
+                                classes, bits, limit=limit, batch=batch,
+                                work=work,
+                            )
+                            assert got[0] == want[0][:limit]
+                        cases += 1
+        assert cases >= 4000
+
+    def test_lanes_are_built_lazily(self):
+        m = compile_pattern("[a-z]+=[0-9]+")
+        eng = m.span_engine()
+        eng.spans(b"key=1 " * 10)  # below both gates
+        assert eng._bsfa is None and eng._start_lanes is None
+        assert eng._end_lanes is None
+        text = b"key=1 " * spans_mod.LANE_START_MIN
+        assert eng.spans(text) == [(6 * i, 6 * i + 5) for i in range(len(text) // 6)]
+        assert eng._bsfa is not None and eng._start_lanes is not None
+        assert eng._end_lanes is not None
+
+
+def _above_gates_log(rng, min_bytes):
+    words = ["ok", "retries=3", "took 12ms", "id=42", "at 10.0.0.7",
+             "user=u17", "x", "ts=12:30:45", "status 200", "req=ab12cd"]
+    out = bytearray()
+    while len(out) < min_bytes:
+        out += " ".join(rng.choice(words) for _ in range(8)).encode() + b"\n"
+    return bytes(out)
+
+
+#: patterns whose leftmost-greedy and leftmost-longest spans agree
+ABOVE_GATE_PATTERNS = [
+    r"[a-z]+=[0-9]+",
+    r"[0-9]+\.[0-9]+\.[0-9]+\.[0-9]+",
+    r"[0-9]{2}:[0-9]{2}",
+    r"took [0-9]+ms",
+]
+
+
+class TestAboveGateSurfaces:
+    """One input above both lane gates through every span surface."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        return _above_gates_log(random.Random(5), 8 * spans_mod.LANE_START_MIN)
+
+    @pytest.mark.parametrize("pattern", ABOVE_GATE_PATTERNS)
+    def test_library_and_stream_equal_re(self, log, pattern):
+        want = [x.span() for x in re.finditer(pattern.encode(), log)]
+        assert len(want) >= spans_mod.LANE_ENDS_MIN
+        m = compile_pattern(pattern)
+        assert list(m.finditer(log, plan="auto")) == want
+        cur = StreamingSpanMatcher(m, plan="auto")
+        got = []
+        step = 3 * spans_mod.LANE_START_MIN // 2
+        for i in range(0, len(log), step):
+            got += cur.feed(log[i:i + step])
+        got += cur.finish()
+        assert got == want
+
+    @pytest.mark.parametrize("pattern", ABOVE_GATE_PATTERNS)
+    def test_grep_only_matching_equals_re(self, log, pattern, tmp_path, capsys):
+        f = tmp_path / "log.txt"
+        f.write_bytes(log)
+        assert main(["grep", "-o", pattern, str(f)]) == 0
+        out = capsys.readouterr().out
+        want = "".join(
+            x.group().decode() + "\n" for x in re.finditer(pattern.encode(), log)
+        )
+        assert out == want
+
+    def test_letter_run_stays_linear(self):
+        """``[a-z]+`` over 1 MiB of ``a``: every position is a start.  The
+        end walk's work cap hands the first lane to the scalar walk and
+        the cursor skips the rest; an uncapped lane walk would take every
+        start to the end of input (quadratic) and time out."""
+        code = (
+            "from repro import compile_pattern\n"
+            "n = 1 << 20\n"
+            "assert compile_pattern('[a-z]+').span_engine().spans(b'a' * n)"
+            " == [(0, n)]\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
 
 
 class TestStreamingSpans:
