@@ -65,9 +65,11 @@ Each lane path engages only above a measured crossover
 :data:`LANE_ENDS_MIN` = 96 candidates for the end walk; the measurements
 sit with the constants); below it the scalar
 :func:`~repro.parallel.scan.mask_scan` and walk run unchanged and serve
-as the reference the lane paths are tested against.  The backward D-SFA
-and the lane tables are built on the first scan above a gate, never at
-construction.  Results are bit-identical on every path.
+as the reference the lane paths are tested against.  ``B`` itself is
+built on the first start pass, and the backward D-SFA and the lane
+tables on the first scan above a gate, never at construction: a
+``finditer`` the literal prefilter serves builds none of them.  Results
+are bit-identical on every path.
 
 Complexity: both passes are linear; the end walk's lane work is capped
 at ``LANE_WORK ×`` the bytes spanned.  The scalar continuation keeps the
@@ -173,7 +175,8 @@ class SpanEngine:
 
     * ``fwd`` — the pattern's minimal DFA (the longest-end walk);
     * ``bwd`` — the start automaton ``DFA(Σ*·rev(P))``, scanned
-      right-to-left (built eagerly: it *is* the engine);
+      right-to-left (built on the first start pass: a scan the literal
+      prefilter serves never needs it);
     * ``live`` — the prefix-liveness automaton ``DFA(Suff(rev(P)))`` for
       streaming holdback (built on first use).
 
@@ -186,13 +189,7 @@ class SpanEngine:
         self.pattern = pattern
         self.partition = pattern.partition
         self.fwd = pattern.min_dfa
-        any_star = Star(Literal(CharSet.any_byte()))
-        bnfa = glushkov_nfa(
-            Concat([any_star, reverse_node(pattern.ast)]), self.partition
-        )
-        self.bwd = accept_last(minimize(
-            subset_construction(bnfa, max_states=pattern.max_dfa_states)
-        ))
+        self._bwd: Optional[DFA] = None
         self._bsfa: Optional[SFA] = None
         self._bsfa_failed = False
         self._start_lanes: Optional[tuple] = None
@@ -243,7 +240,9 @@ class SpanEngine:
         """
         from repro.planning.plan import resolve_plan
 
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
             raise MatchEngineError(
                 f"limit must be a non-negative int, got {limit!r}"
             )
@@ -562,6 +561,35 @@ class SpanEngine:
 
 
     # -- lazy automata and lane tables -----------------------------------
+    @property
+    def bwd(self) -> DFA:
+        """The start automaton ``B = DFA(Σ*·rev(P))``, accepting-last."""
+        if self._bwd is None:
+            any_star = Star(Literal(CharSet.any_byte()))
+            bnfa = glushkov_nfa(
+                Concat([any_star, reverse_node(self.pattern.ast)]),
+                self.partition,
+            )
+            self._bwd = accept_last(minimize(subset_construction(
+                bnfa, max_states=self.pattern.max_dfa_states
+            )))
+        return self._bwd
+
+    def scan_built(self, n: int, prefilter: Optional[bool] = None) -> bool:
+        """Whether :meth:`spans` over ``n`` bytes under a plan whose
+        ``prefilter`` field is ``prefilter`` would build no automaton.
+
+        The literal prefilter needs none; the start pass needs ``B``, plus
+        the backward D-SFA and lane tables above :data:`LANE_START_MIN`.
+        """
+        if self.prefilter is not None and prefilter is not False:
+            return True
+        return self._bwd is not None and (
+            n < LANE_START_MIN
+            or self._start_lanes is not None
+            or self._bsfa_failed
+        )
+
     def _backward_sfa(self) -> Optional[SFA]:
         if self._bsfa is None and not self._bsfa_failed:
             budget = max(1, LANE_DSFA_ENTRIES // self.bwd.num_states)
@@ -634,7 +662,8 @@ class SpanEngine:
         return self._live
 
     def __repr__(self) -> str:
+        bwd = "unbuilt" if self._bwd is None else self._bwd.num_states
         return (
             f"SpanEngine(pattern={self.pattern.pattern!r}, "
-            f"fwd={self.fwd.num_states}, bwd={self.bwd.num_states})"
+            f"fwd={self.fwd.num_states}, bwd={bwd})"
         )

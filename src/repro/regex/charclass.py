@@ -148,10 +148,7 @@ class CharSet:
 
     def to_bool_array(self) -> np.ndarray:
         """256-element boolean membership array."""
-        arr = np.zeros(256, dtype=bool)
-        for v in self:
-            arr[v] = True
-        return arr
+        return _unpack_masks(self.mask.to_bytes(32, "little"))[0]
 
     def __repr__(self) -> str:
         parts = []
@@ -164,6 +161,13 @@ class CharSet:
         if len(self.ranges()) > 8:
             body += ",..."
         return f"CharSet[{body}]"
+
+
+def _unpack_masks(masks: bytes) -> np.ndarray:
+    """Membership rows ``bool[m, 256]`` of ``m`` concatenated 32-byte
+    little-endian masks (bit ``v`` of a mask is byte value ``v``)."""
+    raw = np.frombuffer(masks, dtype=np.uint8).reshape(-1, 32)
+    return np.unpackbits(raw, axis=1, bitorder="little").view(bool)
 
 
 # Named classes used by the parser's escape handling.
@@ -190,26 +194,21 @@ class ByteClassPartition:
     __slots__ = ("classmap", "num_classes", "representatives")
 
     def __init__(self, charsets: Sequence[CharSet]):
-        if charsets:
-            members = np.stack([cs.to_bool_array() for cs in charsets])
-        else:
-            members = np.zeros((1, 256), dtype=bool)
-        # Bytes with identical membership columns form one class.
-        _, classmap, = np.unique(members.T, axis=0, return_inverse=True)[:2]
-        classmap = np.ascontiguousarray(classmap.reshape(256))
+        masks = b"".join(cs.mask.to_bytes(32, "little") for cs in charsets)
+        # Bytes with identical membership columns form one class: pack
+        # each byte's column (one bit per charset) into a fixed-width key.
+        cols = np.packbits(_unpack_masks(masks or bytes(32)), axis=0).T
+        keys = np.ascontiguousarray(cols).view(f"V{cols.shape[1]}").ravel()
+        _, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
         # Renumber classes by first occurrence so numbering is stable.
-        order = {}
-        stable = np.empty(256, dtype=np.uint8)
-        reps: List[int] = []
-        for b in range(256):
-            key = int(classmap[b])
-            if key not in order:
-                order[key] = len(order)
-                reps.append(b)
-            stable[b] = order[key]
-        self.classmap = stable
-        self.num_classes = len(order)
-        self.representatives = np.array(reps, dtype=np.uint8)
+        order = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.uint8)
+        rank[order] = np.arange(len(first))
+        self.classmap = rank[inverse.reshape(256)]
+        self.num_classes = len(first)
+        self.representatives = first[order].astype(np.uint8)
 
     def classes_of(self, cs: CharSet) -> List[int]:
         """Class indices whose bytes are members of ``cs``.
@@ -217,16 +216,15 @@ class ByteClassPartition:
         Raises ``ValueError`` if ``cs`` does not respect the partition
         (i.e. it was not among the charsets used to build it).
         """
-        member = cs.to_bool_array()
-        out = []
-        for idx in range(self.num_classes):
-            byte_vals = np.nonzero(self.classmap == idx)[0]
-            inside = member[byte_vals]
-            if inside.all():
-                out.append(idx)
-            elif inside.any():
-                raise ValueError("CharSet splits a byte class")
-        return out
+        # counts[c] = (bytes of class c outside cs, bytes inside cs)
+        counts = np.bincount(
+            self.classmap.astype(np.intp) * 2 + cs.to_bool_array(),
+            minlength=2 * self.num_classes,
+        ).reshape(-1, 2)
+        inside = counts[:, 1] > 0
+        if (inside & (counts[:, 0] > 0)).any():
+            raise ValueError("CharSet splits a byte class")
+        return np.flatnonzero(inside).tolist()
 
     def translate(
         self, data: bytes | bytearray | memoryview | np.ndarray

@@ -17,7 +17,10 @@ Thread safety: handlers run on the server's thread pool, so lookups and
 eviction hold one lock.  Compilation itself runs *outside* the lock — a
 slow compile must not stall cache hits for other connections — with a
 per-key reservation so concurrent first requests for one pattern compile
-it once.
+it once.  The event loop itself only ever calls the non-compiling
+:meth:`ArtifactCache.lookup_pattern`/:meth:`~ArtifactCache.lookup_ruleset`
+and :func:`scans_built`, which decide whether a hit can skip the hop to
+the pool.
 """
 
 from __future__ import annotations
@@ -31,6 +34,38 @@ from repro.errors import ServiceError
 
 #: Stages :meth:`ArtifactCache.warm` understands, in pipeline order.
 WARM_STAGES = ("dfa", "sfa", "spans")
+
+
+def scans_built(value, task: str, n: int, plan) -> bool:
+    """Whether ``task`` over ``n`` bytes under the resolved ``plan`` scans
+    only automata the cached ``value`` has already built.
+
+    Probes the lazily-built stages without building any (as the planner
+    does).  ``spans`` needs the span engine and whatever its start pass
+    uses; ``fullmatch``/``contains`` qualify on the single-scan DFA walk
+    over a built DFA; ``multi`` on an eager union's serial 1-gram scan,
+    or on a lazy union — whose transitions are only known to be built
+    once a walk under :func:`~repro.automata.lazy.materialized_only`
+    finishes.  Chunked engines, stride kernels and sharded sets answer
+    ``False``: they may build tables or hand chunks to an executor.
+    """
+    from repro.parallel.chunking import clamp_chunks
+
+    if task == "spans":
+        eng = value._spans
+        return eng is not None and eng.scan_built(n, plan.prefilter)
+    if task == "multi":
+        if value.backend == "lazy":
+            return True
+        return (
+            value.backend == "eager" and plan.kernel == "python"
+            and clamp_chunks(n, plan.num_chunks) == 1
+        )
+    subject = value if task == "fullmatch" else value._search
+    return (
+        plan.engine == "dfa" and subject is not None
+        and subject._min_dfa is not None
+    )
 
 
 def pattern_key(pattern: str, ignore_case: bool = False) -> str:
@@ -94,6 +129,14 @@ def _canonical_source(pattern: str, ignore_case: bool) -> str:
         return to_pattern(canonical(parse(pattern, ignore_case=ignore_case)))
     except Exception:
         return pattern
+
+
+def _warm_spans(pattern) -> None:
+    """Build a pattern's span engine, plus the start automaton when no
+    literal prefilter will stand in for the start pass."""
+    eng = pattern.span_engine()
+    if eng.prefilter is None:
+        eng.bwd  # the property builds B
 
 
 class _Entry:
@@ -187,16 +230,48 @@ class ArtifactCache:
             ),
         )
 
+    def lookup_pattern(self, pattern: str, ignore_case: bool = False):
+        """The cached :class:`CompiledPattern` for a source, or ``None``.
+
+        Never compiles: a hit is counted (and refreshed) exactly like a
+        :meth:`get_pattern` hit, a miss is not counted at all — the
+        compiling lookup the caller falls back to counts it.
+        """
+        with self._lock:
+            return self._hit(pattern_key(pattern, ignore_case))
+
+    def lookup_ruleset(
+        self,
+        rules: Sequence[str],
+        flags: Sequence[bool],
+        mode: str = "search",
+        backend: str = "eager",
+    ):
+        """The cached un-optimized :class:`MultiPatternSet` for validated
+        rule sources, or ``None``; counted like :meth:`lookup_pattern`.
+        (Optimized entries are keyed on canonical forms, whose derivation
+        parses every rule — that lookup stays with :meth:`get_ruleset`.)"""
+        with self._lock:
+            return self._hit(ruleset_key(rules, flags, mode, backend))
+
+    def _hit(self, key: str):
+        """The value under ``key`` counted as a hit, or ``None`` (the
+        caller holds the lock)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry.value
+
     def _get(self, key: str, build):
         import time
 
         while True:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return entry.value, True
+                value = self._hit(key)
+                if value is not None:
+                    return value, True
                 pending = self._building.get(key)
                 if pending is None:
                     self._building[key] = threading.Event()
@@ -261,11 +336,11 @@ class ArtifactCache:
                 automaton = value.sfa
             else:  # spans
                 if isinstance(value, CompiledPattern):
-                    value.span_engine()
+                    _warm_spans(value)
                     automaton = value.min_dfa
                 else:
                     for r in range(value.num_rules):
-                        value.rule_pattern(r).span_engine()
+                        _warm_spans(value.rule_pattern(r))
                     automaton = value.dfa
             if kernel in ("stride2", "stride4"):
                 budget = getattr(value, "stride_budget", None)

@@ -8,10 +8,13 @@ over TCP.  ``analyze`` runs the §3.9 static analysis (nothing compiled,
 nothing scanned) and ``compile`` replies carry a compact ``analysis``
 summary next to the stage sizes, so a client learns about blowup risk
 and prefilter plans from the op it already calls.  The
-asyncio loop only moves bytes and dispatches; every engine call runs on a
+asyncio loop moves bytes, dispatches, and runs the one cheap case itself:
+a ``match``/``finditer``/``multiscan`` hit whose automata are built and
+whose payload is at most :data:`INLINE_MAX_BYTES`.  Every other engine
+call — misses, ``compile``, ``scan``, streams, large payloads — runs on a
 bounded thread pool (NumPy kernels release the GIL, and the process
-executor's chunk scans run on worker processes), so slow scans never
-stall other connections' cache hits.
+executor's chunk scans run on worker processes), so slow compiles and
+scans never stall other connections' cache hits.
 
 Lifecycle: :meth:`MatchService.start` binds, :meth:`MatchService.stop`
 drains gracefully — stop accepting, let in-flight requests finish (bounded
@@ -35,9 +38,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.automata.lazy import NotMaterialized, materialized_only
 from repro.errors import RegexSyntaxError, ReproError, ServiceError
 from repro.planning.plan import Plan, resolve_plan
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, scans_built
 from repro.service.metrics import MetricsBoard, ServiceMetrics
 from repro.service.protocol import (
     DEFAULT_MAX_PAYLOAD,
@@ -55,6 +59,10 @@ MAX_STREAMS_PER_CONNECTION = 64
 #: How long a worker waits for a master-propagated ruleset reload to
 #: reach it before answering the ``reload`` request with an error.
 RELOAD_PROPAGATION_TIMEOUT = 15.0
+
+#: Largest payload a cache hit scans on the event loop instead of the
+#: handler pool (DESIGN.md §3.8): the hop costs more than a hit's scan.
+INLINE_MAX_BYTES = 64 << 10
 
 
 def load_rules_file(path: str) -> List[str]:
@@ -565,6 +573,38 @@ class MatchService:
                 self._threads, fn, *args
             )
 
+    async def _run_scan(self, task, data, peek, lookup, resolve, scan):
+        """Run one scan op, on the loop when the hop buys nothing.
+
+        ``peek()`` is the op's non-compiling cache lookup (``None``: a
+        miss), ``lookup()`` its compiling ``(artifact, hit)`` lookup,
+        ``resolve(artifact)`` its plan and ``scan(artifact, hit, plan)``
+        the scan.  A hit whose payload is at most
+        :data:`INLINE_MAX_BYTES` and whose automata are built
+        (:func:`~repro.service.cache.scans_built`) scans right here,
+        under :func:`~repro.automata.lazy.materialized_only` so that a
+        lazy union walk meeting an unbuilt transition moves to the pool
+        instead of building on the loop.  Everything else runs on the
+        handler pool.
+        """
+        if len(data) <= INLINE_MAX_BYTES:
+            value = peek()
+            if value is not None:
+                plan = resolve(value)
+                if scans_built(value, task, len(data), plan):
+                    try:
+                        with materialized_only():
+                            return scan(value, True, plan)
+                    except NotMaterialized:
+                        pass  # a lazy union transition is still unbuilt
+                return await self._in_thread(scan, value, True, plan)
+
+        def work():
+            value, hit = lookup()
+            return scan(value, hit, resolve(value))
+
+        return await self._in_thread(work)
+
     @staticmethod
     def _need_payload(payload: Optional[bytes]) -> bytes:
         if payload is None:
@@ -575,13 +615,24 @@ class MatchService:
             )
         return payload
 
-    def _pattern_of(self, header: Dict[str, Any]):
+    @staticmethod
+    def _pattern_source(header: Dict[str, Any]) -> str:
         pattern = header.get("pattern")
         if not isinstance(pattern, str):
             raise ServiceError(
                 "missing or non-string 'pattern' field", kind="bad-request"
             )
-        return self.cache.get_pattern(pattern, bool(header.get("ignore_case")))
+        return pattern
+
+    def _pattern_of(self, header: Dict[str, Any]):
+        return self.cache.get_pattern(
+            self._pattern_source(header), bool(header.get("ignore_case"))
+        )
+
+    def _peek_pattern(self, header: Dict[str, Any]):
+        return self.cache.lookup_pattern(
+            self._pattern_source(header), bool(header.get("ignore_case"))
+        )
 
     def _rule_sources(self, header: Dict[str, Any]):
         """Validated ``(sources, flags, mode)`` from a rules header —
@@ -637,6 +688,16 @@ class MatchService:
         return self.cache.get_ruleset(
             sources, flags, mode, backend, self._optimize_arg(header)
         )
+
+    def _peek_ruleset(self, header: Dict[str, Any]):
+        """:meth:`_ruleset_of` without compiling (``None``: not cached)."""
+        if header.get("ruleset") is not None:
+            return self._ruleset_of(header)[0]
+        sources, flags, mode = self._rule_sources(header)
+        backend = self._backend_arg(header)
+        if self._optimize_arg(header):
+            return None
+        return self.cache.lookup_ruleset(sources, flags, mode, backend)
 
     def _optimize_arg(self, header: Dict[str, Any]) -> bool:
         """The request's ``optimize`` flag (§3.13 ruleset optimizer).
@@ -954,20 +1015,20 @@ class MatchService:
         plan = self._plan_arg(header)
         task = "fullmatch" if mode == "fullmatch" else "contains"
 
-        def work():
-            m, hit = self._pattern_of(header)
+        def resolve(m):
             if plan is None:
                 c = 1 if chunks is None else chunks
-                p = resolve_plan(
+                return resolve_plan(
                     None, task, len(data), subject=m,
                     engine="lockstep" if c > 1 else "dfa",
                     num_chunks=c, kernel=kernel or "python",
                 )
-            else:
-                p = resolve_plan(
-                    plan, task, len(data), subject=m,
-                    num_chunks=chunks, kernel=kernel,
-                )
+            return resolve_plan(
+                plan, task, len(data), subject=m,
+                num_chunks=chunks, kernel=kernel,
+            )
+
+        def scan(m, hit, p):
             fn = m.fullmatch if mode == "fullmatch" else m.contains
             matched = fn(data, plan=p)
             return {
@@ -975,7 +1036,10 @@ class MatchService:
                 "plan": self._note_plan(p),
             }
 
-        return await self._in_thread(work)
+        return await self._run_scan(
+            task, data, lambda: self._peek_pattern(header),
+            lambda: self._pattern_of(header), resolve, scan,
+        )
 
     async def _op_scan(self, header, payload, streams, next_stream):
         """Chunk-parallel containment scan through the shared executor."""
@@ -1017,7 +1081,9 @@ class MatchService:
         data = self._need_payload(payload)
         chunks, kernel = self._knobs(header)
         limit = header.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
             raise ServiceError(
                 f"'limit' must be a non-negative int, got {limit!r}",
                 kind="bad-request",
@@ -1025,19 +1091,19 @@ class MatchService:
 
         plan = self._plan_arg(header)
 
-        def work():
-            m, hit = self._pattern_of(header)
+        def resolve(m):
             if plan is None:
-                p = resolve_plan(
+                return resolve_plan(
                     None, "spans", len(data), subject=m,
                     num_chunks=1 if chunks is None else chunks,
                     executor=self._executor, kernel=kernel or "python",
                 )
-            else:
-                p = resolve_plan(
-                    plan, "spans", len(data), subject=m,
-                    num_chunks=chunks, executor=self._executor, kernel=kernel,
-                )
+            return resolve_plan(
+                plan, "spans", len(data), subject=m,
+                num_chunks=chunks, executor=self._executor, kernel=kernel,
+            )
+
+        def scan(m, hit, p):
             spans = m.span_engine().spans(
                 data, plan=p, executor=self._executor, limit=limit,
             )
@@ -1046,7 +1112,10 @@ class MatchService:
                 "plan": self._note_plan(p),
             }
 
-        return await self._in_thread(work)
+        return await self._run_scan(
+            "spans", data, lambda: self._peek_pattern(header),
+            lambda: self._pattern_of(header), resolve, scan,
+        )
 
     async def _op_multiscan(self, header, payload, streams, next_stream):
         data = self._need_payload(payload)
@@ -1054,20 +1123,20 @@ class MatchService:
 
         plan = self._plan_arg(header)
 
-        def work():
-            mps, hit = self._ruleset_of(header)
+        def resolve(mps):
             if plan is None:
-                p = resolve_plan(
+                return resolve_plan(
                     None, "multi", len(data), subject=mps,
                     defaults=Plan(engine="lockstep"),
                     num_chunks=1 if chunks is None else chunks,
                     executor=self._executor, kernel=kernel or "python",
                 )
-            else:
-                p = resolve_plan(
-                    plan, "multi", len(data), subject=mps,
-                    num_chunks=chunks, executor=self._executor, kernel=kernel,
-                )
+            return resolve_plan(
+                plan, "multi", len(data), subject=mps,
+                num_chunks=chunks, executor=self._executor, kernel=kernel,
+            )
+
+        def scan(mps, hit, p):
             hits = mps.matches(data, plan=p, executor=self._executor)
             out = {
                 "ok": True,
@@ -1082,7 +1151,10 @@ class MatchService:
                 out["rules_compiled"] = info.num_kept
             return out
 
-        return await self._in_thread(work)
+        return await self._run_scan(
+            "multi", data, lambda: self._peek_ruleset(header),
+            lambda: self._ruleset_of(header), resolve, scan,
+        )
 
     async def _op_stream_open(self, header, payload, streams, next_stream):
         from repro.matching.stream import (

@@ -183,3 +183,104 @@ class TestByteClassPartition:
                 inside = member[byte_vals]
                 # a class is never split by any source charset
                 assert inside.all() or not inside.any()
+
+
+class _ReferencePartition:
+    """The per-byte-loop ``ByteClassPartition`` the vectorized one replaced
+    (kept as the identity reference)."""
+
+    def __init__(self, charsets):
+        if charsets:
+            members = np.stack([_member_by_iteration(cs) for cs in charsets])
+        else:
+            members = np.zeros((1, 256), dtype=bool)
+        _, classmap = np.unique(members.T, axis=0, return_inverse=True)[:2]
+        classmap = np.ascontiguousarray(classmap.reshape(256))
+        order = {}
+        stable = np.empty(256, dtype=np.uint8)
+        reps = []
+        for b in range(256):
+            key = int(classmap[b])
+            if key not in order:
+                order[key] = len(order)
+                reps.append(b)
+            stable[b] = order[key]
+        self.classmap = stable
+        self.num_classes = len(order)
+        self.representatives = np.array(reps, dtype=np.uint8)
+
+
+def _member_by_iteration(cs):
+    arr = np.zeros(256, dtype=bool)
+    for v in cs:
+        arr[v] = True
+    return arr
+
+
+def _random_charset(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return CharSet.from_ranges(*[
+            tuple(sorted((rng.randrange(256), rng.randrange(256))))
+            for _ in range(rng.randrange(1, 4))
+        ])
+    if kind < 0.6:
+        return CharSet.from_bytes(rng.randrange(256) for _ in range(rng.randrange(6)))
+    return CharSet(rng.getrandbits(256))
+
+
+class TestVectorizedPartitionIdentity:
+    def _assert_same(self, charsets):
+        got, want = ByteClassPartition(charsets), _ReferencePartition(charsets)
+        assert got.num_classes == want.num_classes
+        assert np.array_equal(got.classmap, want.classmap)
+        assert np.array_equal(got.representatives, want.representatives)
+        assert got.classmap.dtype == want.classmap.dtype == np.uint8
+        assert got.representatives.dtype == np.uint8
+
+    def test_random_charset_lists(self):
+        import random
+
+        rng = random.Random(2024)
+        for _ in range(400):
+            m = rng.choice([1, 2, 3, 5, 8, 9, 17, 40])
+            self._assert_same([_random_charset(rng) for _ in range(m)])
+
+    @pytest.mark.parametrize("charsets", [
+        [],
+        [CharSet.any_byte()],
+        [CharSet.empty()],
+        [CharSet.single(v) for v in range(256)],
+        [CharSet.dot(), DIGIT, WORD, SPACE, CharSet.any_byte()],
+    ], ids=["empty-list", "full-set", "empty-set", "256-singletons", "named"])
+    def test_edge_lists(self, charsets):
+        self._assert_same(charsets)
+
+    def test_classes_of_matches_member_scan(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(100):
+            charsets = [_random_charset(rng) for _ in range(rng.randrange(1, 9))]
+            p = ByteClassPartition(charsets)
+            for cs in charsets:
+                member = _member_by_iteration(cs)
+                want = [c for c in range(p.num_classes)
+                        if member[p.classmap == c].all()]
+                assert p.classes_of(cs) == want
+
+    def test_classes_of_raises_on_split(self):
+        p = ByteClassPartition([CharSet.from_str("abc"), CharSet.from_ranges((0x80, 0xFF))])
+        for splitter in (CharSet.from_str("a"), CharSet.from_str("bz"),
+                         CharSet.from_ranges((0x70, 0x90))):
+            with pytest.raises(ValueError):
+                p.classes_of(splitter)
+        assert p.classes_of(CharSet.empty()) == []
+        assert len(p.classes_of(CharSet.any_byte())) == p.num_classes
+
+    @given(st.integers(0, (1 << 256) - 1))
+    def test_to_bool_array_equals_iteration(self, mask):
+        cs = CharSet(mask)
+        arr = cs.to_bool_array()
+        assert arr.dtype == bool and arr.shape == (256,)
+        assert np.array_equal(arr, _member_by_iteration(cs))

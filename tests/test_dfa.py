@@ -105,6 +105,76 @@ class TestMinimization:
         assert t.num_states == 2
 
 
+def _reference_moore(dfa: DFA) -> np.ndarray:
+    """The ``np.unique(axis=0)`` Moore refinement the byte-key one
+    replaced, kept as the identity reference."""
+    labels = dfa.accept.astype(np.int64)
+    while True:
+        sig = np.column_stack(
+            [labels] + [labels[dfa.table[:, c]] for c in range(dfa.num_classes)]
+        )
+        _, new_labels = np.unique(sig, axis=0, return_inverse=True)
+        new_labels = new_labels.reshape(-1)
+        if np.array_equal(new_labels, labels):
+            return labels
+        labels = new_labels
+
+
+def _random_dfa(rng, n: int, k: int) -> DFA:
+    return DFA(rng.integers(0, n, size=(n, k)), 0, rng.random(n) < 0.4)
+
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    return len(set(zip(a.tolist(), b.tolist()))) == a.max() + 1 == b.max() + 1
+
+
+class TestMooreByteKeyIdentity:
+    """``minimize`` is bit-identical to the row-sort Moore refinement —
+    tables, initial state, accept bits, hence the state numbering.  Only
+    DFAs with more than 256 blocks use multi-byte keys, so those are the
+    cases that pin the key's byte order."""
+
+    def _assert_identical(self, d: DFA, monkeypatch) -> None:
+        import repro.automata.dfa as dfa_mod
+
+        got = minimize(d)
+        with monkeypatch.context() as mp:
+            mp.setattr(dfa_mod, "moore_partition", _reference_moore)
+            want = minimize(d)
+        assert np.array_equal(got.table, want.table)
+        assert got.initial == want.initial
+        assert np.array_equal(got.accept, want.accept)
+        assert np.array_equal(moore_partition(trim(d)), _reference_moore(trim(d)))
+
+    def test_random_dfas(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 80)), int(rng.integers(1, 6))
+            self._assert_identical(_random_dfa(rng, n, k), monkeypatch)
+
+    def test_over_256_blocks(self, monkeypatch):
+        d = dfa_of("(a|b)*a(a|b){9}")
+        assert int(moore_partition(trim(d)).max()) + 1 == 1025
+        self._assert_identical(d, monkeypatch)
+
+    def test_r500(self, monkeypatch):
+        from repro.workloads.patterns import rn_pattern
+
+        self._assert_identical(dfa_of(rn_pattern(500)), monkeypatch)
+
+    def test_four_byte_keys(self, monkeypatch):
+        # > 65536 states: 4-byte keys
+        rng = np.random.default_rng(5)
+        self._assert_identical(_random_dfa(rng, 70_000, 2), monkeypatch)
+
+    def test_partition_equals_hopcroft_on_random_dfas(self):
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            d = _random_dfa(rng, n, k)
+            assert _same_partition(moore_partition(d), hopcroft_partition(d))
+
+
 class TestDFAValidation:
     def test_bad_initial(self):
         with pytest.raises(AutomatonError):

@@ -183,6 +183,26 @@ class TestBudgets:
 # ---------------------------------------------------------------------------
 
 
+class TestMaterializedOnly:
+    def test_guarded_scan_builds_nothing_until_warm(self):
+        from repro.automata.lazy import NotMaterialized, materialized_only
+
+        rules = ["abc", "a[0-9]+b", "zz*top"]
+        lazy = MultiPatternSet(rules, backend="lazy")
+        data = b"xx abc yy a123b zz zztop " * 20
+        with materialized_only():
+            with pytest.raises(NotMaterialized):
+                lazy.matches(data)
+        assert lazy.num_materialized == 1  # nothing built under the guard
+        want = MultiPatternSet(rules).matches(data)
+        assert lazy.matches(data) == want  # unguarded: builds and matches
+        states = lazy.num_materialized
+        with materialized_only():
+            assert lazy.matches(data) == want  # warm: the walk never misses
+        assert lazy.num_materialized == states
+        assert lazy.matches(b"zzzzzztop abc") == {0, 2}  # guard is reset
+
+
 class TestFreeze:
     def test_freeze_agrees_across_kernels_and_chunking(self):
         # Small fixed rules keep the frozen union DFA tiny, so the

@@ -20,7 +20,12 @@ from repro import compile_pattern
 from repro.errors import ServiceError
 from repro.matching import spans as spans_mod
 from repro.matching.multi import MultiPatternSet
-from repro.service.cache import ArtifactCache, pattern_key, ruleset_key
+from repro.service.cache import (
+    ArtifactCache,
+    pattern_key,
+    ruleset_key,
+    scans_built,
+)
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     DRAIN_CEILING,
@@ -29,7 +34,11 @@ from repro.service.protocol import (
     parse_header,
     ProtocolError,
 )
-from repro.service.server import MAX_STREAMS_PER_CONNECTION, MatchService
+from repro.service.server import (
+    INLINE_MAX_BYTES,
+    MAX_STREAMS_PER_CONNECTION,
+    MatchService,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +163,15 @@ class TestArtifactCache:
         assert built1 == ["dfa", "sfa", "spans"]
         assert built2 == []
 
+    def test_warm_spans_builds_b_only_without_prefilter(self):
+        cache = ArtifactCache(4)
+        lit, _ = cache.get_pattern("ERROR [0-9]+")
+        free, _ = cache.get_pattern("[a-z]+=[0-9]+")
+        cache.warm(lit, ["spans"])
+        cache.warm(free, ["spans"])
+        assert lit.span_engine()._bwd is None  # the prefilter stands in
+        assert free.span_engine()._bwd is not None
+
     def test_warm_unknown_stage_rejected(self):
         cache = ArtifactCache(4)
         m, _ = cache.get_pattern("a")
@@ -171,6 +189,59 @@ class TestArtifactCache:
         # the key is not wedged: a later valid compile under churn works
         m, hit = cache.get_pattern("(ab)*")
         assert not hit and m.fullmatch(b"")
+
+    def test_lookup_never_compiles_and_counts_hits_only(self):
+        cache = ArtifactCache(4)
+        assert cache.lookup_pattern("(ab)*") is None
+        assert cache.lookup_ruleset(["abc"], [False]) is None
+        assert len(cache) == 0
+        s = cache.stats()
+        assert s["hits"] == 0 and s["misses"] == 0
+        m, _ = cache.get_pattern("(ab)*")
+        mps, _ = cache.get_ruleset(["abc"], [False], "search", "eager")
+        assert cache.lookup_pattern("(ab)*") is m
+        assert cache.lookup_pattern("(ab)*", ignore_case=True) is None
+        assert cache.lookup_ruleset(["abc"], [False], "search", "eager") is mps
+        assert cache.lookup_ruleset(["abc"], [False], "search", "lazy") is None
+        s = cache.stats()
+        assert s["hits"] == 2 and s["misses"] == 2
+
+    def test_lookup_refreshes_lru(self):
+        cache = ArtifactCache(2)
+        cache.get_pattern("a")
+        cache.get_pattern("b")
+        cache.lookup_pattern("a")  # refresh 'a'; 'b' is now oldest
+        cache.get_pattern("c")
+        assert pattern_key("b") not in cache.keys()
+        assert pattern_key("a") in cache.keys()
+
+    def test_scans_built_probes_without_building(self):
+        from repro.planning.plan import Plan
+
+        serial = Plan(engine="dfa", kernel="python", num_chunks=1)
+        m = compile_pattern("ERROR [0-9]+")
+        for task in ("fullmatch", "contains", "spans"):
+            assert not scans_built(m, task, 100, serial)
+        assert m._min_dfa is None and m._search is None and m._spans is None
+        m.span_engine()  # builds min_dfa too
+        assert scans_built(m, "spans", 100, serial)
+        assert scans_built(m, "fullmatch", 100, serial)
+        assert not scans_built(m, "fullmatch", 100, Plan(engine="lockstep"))
+        assert not scans_built(m, "contains", 100, serial)
+        m.contains(b"ERROR 1")
+        assert scans_built(m, "contains", 100, serial)
+        free = compile_pattern("[a-z]+=[0-9]+")
+        free.span_engine()
+        assert not scans_built(free, "spans", 100, serial)  # B unbuilt
+        free.finditer(b"k=1")
+        assert scans_built(free, "spans", 100, serial)
+        eager = MultiPatternSet(RULES)
+        lazy = MultiPatternSet(RULES, backend="lazy")
+        multi = Plan(engine="lockstep", kernel="python", num_chunks=1)
+        assert scans_built(eager, "multi", 100, multi)
+        assert scans_built(lazy, "multi", 100, multi)
+        assert not scans_built(eager, "multi", 100, Plan(kernel="stride2"))
+        assert not scans_built(eager, "multi", 10_000, Plan(num_chunks=4))
 
     def test_concurrent_first_compiles_build_once(self):
         cache = ArtifactCache(8)
@@ -283,6 +354,11 @@ class TestServiceBasics:
             assert c.finditer("ab", b"abxab", limit=1) == [(0, 2)]
             err = c.request(
                 {"op": "finditer", "pattern": "ab", "limit": -1}, b"abxab",
+                check=False,
+            )
+            assert err["error"]["kind"] == "bad-request"
+            err = c.request(
+                {"op": "finditer", "pattern": "ab", "limit": True}, b"abxab",
                 check=False,
             )
             assert err["error"]["kind"] == "bad-request"
@@ -633,6 +709,187 @@ class TestServiceConcurrency:
             c2.match("zfj[0-9]{2}", b"zfj43")
             stats = c2.stats()["cache"]
         assert stats["hits"] >= 1  # second connection hit the first's entry
+
+
+class TestHopFreeHits:
+    """A cached ``match``/``finditer``/``multiscan`` whose automata are
+    built and whose payload is at most ``INLINE_MAX_BYTES`` runs on the
+    event loop; everything else hops to the handler pool (§3.8)."""
+
+    @staticmethod
+    def _count_hops(handle):
+        """Record every call into the handler pool from now on."""
+        hops = []
+        service = handle.service
+        to_pool = service._in_thread
+
+        async def counting(fn, *args):
+            hops.append(fn)
+            return await to_pool(fn, *args)
+
+        service._in_thread = counting
+        return hops
+
+    def test_built_hits_skip_the_pool(self, server):
+        data = b"xx ERROR 42 yy abc a12b zztop GET /index"
+        spans = list(compile_pattern("ERROR [0-9]+").finditer(data))
+        rules = sorted(MultiPatternSet(RULES).matches(data))
+        find = {"op": "finditer", "pattern": "ERROR [0-9]+"}
+        full = {"op": "match", "pattern": ".*ERROR.*", "mode": "fullmatch"}
+        contains = {"op": "match", "pattern": ".*ERROR.*", "mode": "contains"}
+        multi = {"op": "multiscan", "rules": RULES}
+        hops = self._count_hops(server)
+        with server.client() as c:
+            for header, answer in ((find, ("spans", [list(s) for s in spans])),
+                                   (full, ("match", True)),
+                                   (multi, ("rules", rules))):
+                before = len(hops)
+                first = c.request(header, data)
+                assert first["cached"] is False and len(hops) == before + 1
+                for _ in range(3):
+                    again = c.request(header, data)
+                    assert again["cached"] is True
+                    assert again[answer[0]] == first[answer[0]] == answer[1]
+                assert len(hops) == before + 1  # the hits never hopped
+            # A hit whose automata are not built yet hops once to build
+            # them: the pattern is cached, its search automaton is not.
+            before = len(hops)
+            for _ in range(3):
+                reply = c.request(contains, data)
+                assert reply["cached"] is True and reply["match"] is True
+            assert len(hops) == before + 1
+            cache = c.stats()["cache"]
+        assert cache["misses"] == 3 and cache["hits"] == 12
+
+    def test_large_payloads_and_unbuilt_start_passes_hop(self, server):
+        pattern = "[a-z]+=[0-9]+"  # no literal prefilter: the start pass runs
+        small = b"k=1 id=22 "
+        big = small * (INLINE_MAX_BYTES // len(small) + 1)
+        m = compile_pattern(pattern)
+        hops = self._count_hops(server)
+        with server.client() as c:
+            assert c.finditer(pattern, small) == list(m.finditer(small))
+            assert len(hops) == 1  # miss
+            assert c.finditer(pattern, small) == list(m.finditer(small))
+            assert len(hops) == 1  # built hit
+            assert c.finditer(pattern, big) == list(m.finditer(big))
+            assert c.finditer(pattern, big) == list(m.finditer(big))
+            assert len(hops) == 3  # above INLINE_MAX_BYTES: always the pool
+            mid = big[:spans_mod.LANE_START_MIN + 5]
+            assert c.finditer(pattern, mid) == list(m.finditer(mid))
+            assert c.finditer(pattern, mid) == list(m.finditer(mid))
+            assert len(hops) == 3  # the big scans built the lane tables
+
+    def test_lazy_union_walks_build_on_the_pool(self, server):
+        data = b"xx abc yy a12b zztop GET /index "
+        fresh = b"zzzzzz top GET /x a9b " * 3
+        multi = {"op": "multiscan", "rules": RULES, "backend": "lazy"}
+        want = MultiPatternSet(RULES)
+        hops = self._count_hops(server)
+        with server.client() as c:
+            assert c.request(multi, data)["rules"] == sorted(want.matches(data))
+            assert len(hops) == 1  # miss
+            assert c.request(multi, data)["rules"] == sorted(want.matches(data))
+            assert len(hops) == 1  # every transition the walk needs is built
+            reply = c.request(multi, fresh)
+            assert reply["cached"] is True
+            assert reply["rules"] == sorted(want.matches(fresh))
+            assert len(hops) == 2  # new transitions: built on the pool
+            assert c.request(multi, fresh)["rules"] == reply["rules"]
+            assert len(hops) == 2
+
+    def test_lane_tables_are_built_off_the_loop(self, server):
+        pattern = "[a-z]+=[0-9]+"
+        mid = b"k=1 id=22 " * (spans_mod.LANE_START_MIN // 10 + 1)
+        m = compile_pattern(pattern)
+        hops = self._count_hops(server)
+        with server.client() as c:
+            c.finditer(pattern, b"k=1")
+            assert len(hops) == 1
+            assert c.finditer(pattern, mid) == list(m.finditer(mid))
+            assert len(hops) == 2  # lane start pass unbuilt: hop
+            assert c.finditer(pattern, mid) == list(m.finditer(mid))
+            assert len(hops) == 2
+
+    def test_loop_and_pool_share_the_cache_under_churn(self):
+        """Hits on the loop and misses on the pool update one cache (and
+        build one pattern's automata) concurrently: no lost counts, no
+        diverging answers."""
+        import sys
+
+        handle = _ServerHandle(cache_size=4)
+        patterns = ["ERROR [0-9]+", "[a-z]+=[0-9]+", "id=[0-9]+", "[0-9]{2}:[0-9]{2}",
+                    "GET /[a-z]+", "k[a-z]*=1", "(ab|cd)+e", "x[0-9]?y"]
+        rng = random.Random(29)
+        line = b"12:30 GET /api k=1 id=42 ERROR 7 abcde x5y "
+        payloads = [line * n for n in (1, 9, spans_mod.LANE_START_MIN // len(line) + 2)]
+        want = {(p, d): list(compile_pattern(p).finditer(d))
+                for p in patterns for d in payloads}
+        jobs = [[(rng.choice(patterns), rng.choice(payloads)) for _ in range(30)]
+                for _ in range(8)]
+        failures = []
+
+        def client(work):
+            try:
+                with handle.client() as c:
+                    for p, d in work:
+                        if c.finditer(p, d) != want[p, d]:
+                            failures.append((p, len(d)))
+            except Exception as e:  # pragma: no cover - failure reporting
+                failures.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(w,)) for w in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            with handle.client() as c:
+                cache = c.stats()["cache"]
+        finally:
+            handle.stop()
+        assert not failures, failures[:5]
+        assert cache["hits"] + cache["misses"] == sum(map(len, jobs))
+
+    def test_slow_compile_does_not_stall_hits(self):
+        """DESIGN.md §3.8: a compile on one connection never stalls
+        another connection's cache hits."""
+        handle = _ServerHandle(cache_size=8)
+        slow = "(a|b)*a(a|b){15}"  # 2^16-state DFA: over a second to build
+        data = b"xx ERROR 42 yy " * 20
+        want = list(compile_pattern("ERROR [0-9]+").finditer(data))
+        done = {}
+
+        def compile_slow():
+            with handle.client(timeout=300) as c:
+                t0 = time.perf_counter()
+                done["spans"] = c.finditer(slow, b"ab" * 20)
+                done["seconds"] = time.perf_counter() - t0
+
+        try:
+            with handle.client() as c:
+                assert c.finditer("ERROR [0-9]+", data) == want
+                worker = threading.Thread(target=compile_slow)
+                worker.start()
+                latencies = []
+                while worker.is_alive():
+                    t0 = time.perf_counter()
+                    assert c.finditer("ERROR [0-9]+", data) == want
+                    latencies.append(time.perf_counter() - t0)
+                worker.join()
+        finally:
+            handle.stop()
+        assert done["spans"] == [(0, 40)]
+        assert len(latencies) >= 5
+        assert max(latencies) < done["seconds"] / 4, (
+            max(latencies), done["seconds"]
+        )
 
 
 class TestServiceBackends:

@@ -85,9 +85,81 @@ class TestSpanAPI:
 
     def test_negative_limit_rejected(self):
         eng = compile_pattern("ab").span_engine()
-        for bad in (-1, 1.5, "2"):
+        for bad in (-1, 1.5, "2", True, False):
             with pytest.raises(MatchEngineError):
                 eng.spans(b"abxab", limit=bad)
+
+
+class TestLazyStartAutomaton:
+    """``B = DFA(Σ*·rev(P))`` is built on the first start pass, never by
+    the engine's constructor, a prefiltered scan or ``repr()``."""
+
+    PATTERN = "ERROR [0-9]+"
+
+    def _log(self, n_lines):
+        return b"".join(
+            b"t=%d ERROR %d ok\n" % (i, i * 7) if i % 3 else b"t=%d fine\n" % i
+            for i in range(n_lines)
+        )
+
+    def test_prefiltered_scans_never_build_b(self):
+        m = compile_pattern(self.PATTERN)
+        eng = m.span_engine()
+        assert eng.prefilter is not None
+        for data in (self._log(20), self._log(spans_mod.LANE_START_MIN // 8)):
+            list(m.finditer(data))
+            m.find(data)
+            m.count(data)
+            m.findall(data)
+        assert eng._bwd is None and eng._bsfa is None and eng._start_lanes is None
+
+    def test_start_pass_builds_b_with_identical_spans(self):
+        for data in (self._log(20), self._log(spans_mod.LANE_START_MIN // 8)):
+            m = compile_pattern(self.PATTERN)
+            want = list(m.finditer(data))
+            assert m.span_engine()._bwd is None
+            assert list(m.finditer(data, prefilter=False)) == want
+            assert m.span_engine()._bwd is not None
+            assert want == [x.span() for x in re.finditer(rb"ERROR [0-9]+", data)]
+
+    def test_start_bits_builds_b(self):
+        m = compile_pattern(self.PATTERN)
+        eng = m.span_engine()
+        bits = eng.start_bits(m.translate(b"x ERROR 1"))
+        assert eng._bwd is not None
+        assert np.flatnonzero(bits).tolist() == [2]
+
+    def test_streaming_builds_b_with_identical_spans(self):
+        data = self._log(200)
+        m = compile_pattern(self.PATTERN)
+        want = list(m.finditer(data))
+        assert m.span_engine()._bwd is None
+        sm = StreamingSpanMatcher(m)
+        got = []
+        for i in range(0, len(data), 97):
+            got += sm.feed(data[i:i + 97])
+        got += sm.finish()
+        assert got == want
+        assert m.span_engine()._bwd is not None
+
+    def test_repr_builds_nothing(self):
+        eng = compile_pattern(self.PATTERN).span_engine()
+        assert "bwd=unbuilt" in repr(eng)
+        assert eng._bwd is None and eng._live is None and eng._bsfa is None
+        eng.start_bits(eng.partition.translate(b"ERROR 1"))
+        assert f"bwd={eng.bwd.num_states}" in repr(eng)
+
+    def test_scan_built(self):
+        lit = compile_pattern(self.PATTERN).span_engine()
+        assert lit.scan_built(10) and lit.scan_built(10**6)
+        assert not lit.scan_built(10, prefilter=False)
+        free = compile_pattern("[a-z]+=[0-9]+").span_engine()
+        assert free.prefilter is None and not free.scan_built(10)
+        free.spans(b"k=1")
+        assert free.scan_built(10)
+        assert not free.scan_built(spans_mod.LANE_START_MIN)  # lanes unbuilt
+        free.spans(b"k=1 " * spans_mod.LANE_START_MIN)
+        assert free.scan_built(spans_mod.LANE_START_MIN)
 
 
 class TestStartBits:
