@@ -21,6 +21,7 @@ from repro.bench.harness import (
 )
 from repro.bench.report import emit, emit_json
 from repro.matching.parallel_sfa import parallel_sfa_run
+from repro.planning.plan import Plan
 from repro.workloads.textgen import random_text
 
 TEXT_BYTES = 1_500_000
@@ -61,10 +62,10 @@ def test_find_throughput(benchmark):
             lambda: m.count(text), len(text), repeat=3,
         ),
         "find p=4 lockstep-chunked": measure_throughput(
-            lambda: m.count(text, num_chunks=4), len(text), repeat=3,
+            lambda: m.count(text, plan=Plan(num_chunks=4)), len(text), repeat=3,
         ),
         "find p=1 stride4": measure_throughput(
-            lambda: m.count(text, num_chunks=2, kernel="stride4"),
+            lambda: m.count(text, plan=Plan(num_chunks=2, kernel="stride4")),
             len(text), repeat=3,
         ),
         "re.finditer": measure_throughput(
@@ -132,12 +133,12 @@ def test_prefilter_throughput(benchmark):
         )
         shape_check(
             f"prefiltered spans byte-identical for {pattern!r}",
-            list(m.finditer(text)) == list(m.finditer(text, prefilter=False)),
+            list(m.finditer(text)) == list(m.finditer(text, plan=Plan(prefilter=False))),
             "span mismatch",
         )
         on = measure_throughput(lambda: m.count(text), len(text), repeat=3)
         off = measure_throughput(
-            lambda: m.count(text, prefilter=False), len(text), repeat=3
+            lambda: m.count(text, plan=Plan(prefilter=False)), len(text), repeat=3
         )
         ratios[pattern] = on / off
         rows.append(BenchRecord(

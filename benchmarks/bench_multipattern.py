@@ -12,6 +12,7 @@ from repro import compile_pattern
 from repro.bench.harness import BenchRecord, format_table, shape_check, time_callable
 from repro.bench.report import emit, emit_json
 from repro.matching.multi import MultiPatternSet
+from repro.planning.plan import Plan
 from repro.workloads.textgen import random_text
 
 RULES = [
@@ -31,12 +32,12 @@ def test_union_scan_vs_per_rule(benchmark):
     payload = random_text(PAYLOAD_BYTES, seed=3, alphabet=b"abcdefg /.=+0123")
 
     def union_scan():
-        return mps.matches(payload, num_chunks=16)
+        return mps.matches(payload, plan=Plan(num_chunks=16))
 
     def per_rule_scan():
         return {
             i for i, s in enumerate(singles)
-            if s.fullmatch(payload, engine="lockstep", num_chunks=16)
+            if s.fullmatch(payload, plan=Plan(engine="lockstep", num_chunks=16))
         }
 
     assert union_scan() == per_rule_scan()  # identical verdicts
@@ -110,15 +111,15 @@ def test_kernel_executor_series(benchmark):
     for kernel in ("python", "stride2", "stride4"):
         series(
             f"p=1 kernel={kernel}",
-            lambda kernel=kernel: mps.matches(payload, kernel=kernel),
+            lambda kernel=kernel: mps.matches(payload, plan=Plan(kernel=kernel)),
         )
     for executor in ("serial", "threads", "processes"):
         for kernel in ("python", "stride4"):
             series(
                 f"p=4 executor={executor} kernel={kernel}",
-                lambda e=executor, k=kernel: mps.matches(
-                    payload, num_chunks=4, executor=e, num_workers=4, kernel=k
-                ),
+                lambda e=executor, k=kernel: mps.matches(payload, plan=Plan(
+                    num_chunks=4, executor=e, num_workers=4, kernel=k,
+                )),
             )
     emit(
         format_table(
@@ -142,7 +143,7 @@ def test_kernel_executor_series(benchmark):
         f"{speedup:.1f}x",
     )
     benchmark.pedantic(
-        lambda: mps.matches(payload, kernel="stride4"), rounds=3, iterations=1
+        lambda: mps.matches(payload, plan=Plan(kernel="stride4")), rounds=3, iterations=1
     )
 
 
@@ -258,9 +259,9 @@ def test_chunk_invariance_of_rule_sets(benchmark):
     mps = MultiPatternSet(RULES, mode="search")
     payload = (b"x" * 999 + b"attack42 " + b"y" * 500 + b"GET /admin " +
                b"z" * 700 + b"../../ ")
-    ref = mps.matches(payload, num_chunks=1)
+    ref = mps.matches(payload, plan=Plan(num_chunks=1))
     assert ref == {0, 1, 3}
     for p in (2, 3, 7, 16, 64):
-        assert mps.matches(payload, num_chunks=p) == ref
-    benchmark.pedantic(lambda: mps.matches(payload, num_chunks=16),
+        assert mps.matches(payload, plan=Plan(num_chunks=p)) == ref
+    benchmark.pedantic(lambda: mps.matches(payload, plan=Plan(num_chunks=16)),
                        rounds=3, iterations=1)

@@ -24,6 +24,7 @@ from repro.bench.harness import (
     shape_check,
 )
 from repro.bench.report import emit, emit_json
+from repro.planning.plan import Plan
 from repro.planning.planner import get_planner
 from repro.workloads.patterns import rn_pattern
 from repro.workloads.textgen import rn_accepted_text
@@ -95,12 +96,10 @@ def test_plan_acceptance(benchmark):
     m.sfa.stride_table(4)
 
     combos = {
-        "dfa/python": lambda: m.fullmatch(text, engine="dfa"),
-        "sfa/python": lambda: m.fullmatch(text, engine="sfa", kernel="python"),
-        "sfa/stride2": lambda: m.fullmatch(text, engine="sfa",
-                                           kernel="stride2"),
-        "sfa/stride4": lambda: m.fullmatch(text, engine="sfa",
-                                           kernel="stride4"),
+        "dfa/python": lambda: m.fullmatch(text, plan=Plan(engine="dfa")),
+        "sfa/python": lambda: m.fullmatch(text, plan=Plan(engine="sfa", kernel="python")),
+        "sfa/stride2": lambda: m.fullmatch(text, plan=Plan(engine="sfa", kernel="stride2")),
+        "sfa/stride4": lambda: m.fullmatch(text, plan=Plan(engine="sfa", kernel="stride4")),
     }
     plan = get_planner().plan("fullmatch", len(text), subject=m)
     _report(benchmark, "bench_plan.acceptance",
@@ -118,10 +117,10 @@ def test_plan_spans(benchmark):
 
     combos = {
         "python/p1": lambda: list(
-            m.finditer(text, num_chunks=1, kernel="python")
+            m.finditer(text, plan=Plan(num_chunks=1, kernel="python"))
         ),
         "python/p4": lambda: list(
-            m.finditer(text, num_chunks=4, kernel="python")
+            m.finditer(text, plan=Plan(num_chunks=4, kernel="python"))
         ),
     }
     plan = get_planner().plan("spans", len(text), subject=m)
@@ -143,9 +142,9 @@ def test_plan_multipattern(benchmark):
     assert mps.matches(text)
 
     combos = {
-        "lockstep/python": lambda: mps.matches(text, kernel="python"),
-        "lockstep/stride2": lambda: mps.matches(text, kernel="stride2"),
-        "lockstep/stride4": lambda: mps.matches(text, kernel="stride4"),
+        "lockstep/python": lambda: mps.matches(text, plan=Plan(kernel="python")),
+        "lockstep/stride2": lambda: mps.matches(text, plan=Plan(kernel="stride2")),
+        "lockstep/stride4": lambda: mps.matches(text, plan=Plan(kernel="stride4")),
     }
     plan = get_planner().plan("multi", len(text), subject=mps)
     _report(benchmark, "bench_plan.multipattern",

@@ -22,6 +22,7 @@ import threading
 
 from repro.bench.harness import BenchRecord, format_table, shape_check, time_callable
 from repro.bench.report import emit, emit_json
+from repro.planning.plan import Plan
 from repro.service.client import ServiceClient
 from repro.service.server import MatchService
 
@@ -144,9 +145,10 @@ def test_payload_throughput_and_concurrency(benchmark):
                 lambda: c.finditer("ERROR [0-9]+", BULK_PAYLOAD, limit=1),
                 repeat=3,
             )
+            chunked = Plan(engine="sfa", num_chunks=4, kernel="stride2")
             t_scan = time_callable(
-                lambda: c.scan("ERROR [0-9]+", BULK_PAYLOAD, chunks=4,
-                               kernel="stride2"),
+                lambda: c.match("ERROR [0-9]+", BULK_PAYLOAD,
+                                mode="contains", plan=chunked),
                 repeat=3,
             )
         mbps_spans = len(BULK_PAYLOAD) / 1e6 / t_spans

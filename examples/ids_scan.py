@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro import StateExplosionError, compile_pattern
+from repro import Plan, StateExplosionError, compile_pattern
 from repro.workloads.snort import generate_ruleset
 from repro.workloads.textgen import accepted_text, random_text
 
@@ -70,7 +70,7 @@ def scan(matchers, packets, num_chunks: int = 4):
     for pkt in packets:
         total_bytes += len(pkt)
         for pat, s in matchers:
-            if s.fullmatch(pkt, engine="lockstep", num_chunks=num_chunks):
+            if s.fullmatch(pkt, plan=Plan(engine="lockstep", num_chunks=num_chunks)):
                 hits[pat] = hits.get(pat, 0) + 1
     elapsed = time.perf_counter() - t0
     scanned = total_bytes * len(matchers)

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro import compile_pattern
+from repro import Plan, compile_pattern
 
 PATTERN = r"ERROR [0-9]{3} (timeout|refused|reset) at [0-9]{2}:[0-9]{2}:[0-9]{2}"
 
@@ -54,19 +54,19 @@ def main() -> None:
     print("containment automaton:", search.sizes())
 
     # verdict first: does the log contain an error line?
-    verdict = search.fullmatch(log, engine="lockstep", num_chunks=8)
+    verdict = search.fullmatch(log, plan=Plan(engine="lockstep", num_chunks=8))
     print("log contains an ERROR match:", verdict)
 
     print()
     print(f"{'engine':<22}{'chunks':>7}{'seconds':>10}{'MB/s':>10}")
     t0 = time.perf_counter()
-    search.fullmatch(log, engine="dfa")
+    search.fullmatch(log, plan=Plan(engine="dfa"))
     t_dfa = time.perf_counter() - t0
     print(f"{'dfa (Algorithm 2)':<22}{1:>7}{t_dfa:>10.3f}{len(log)/1e6/t_dfa:>10.1f}")
 
     for p in (1, 2, 4, 8, 16, 32, 64):
         t0 = time.perf_counter()
-        search.fullmatch(log, engine="lockstep", num_chunks=p)
+        search.fullmatch(log, plan=Plan(engine="lockstep", num_chunks=p))
         t = time.perf_counter() - t0
         print(f"{'sfa lockstep (Alg. 5)':<22}{p:>7}{t:>10.3f}{len(log)/1e6/t:>10.1f}")
 

@@ -7,7 +7,7 @@ Walks the paper's four-step pipeline on the worked example ``(ab)*``
 Run:  python examples/quickstart.py
 """
 
-from repro import compile_pattern
+from repro import Plan, compile_pattern
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     data = b"ab" * 1_000_000
     print()
     for engine, chunks in [("dfa", 1), ("speculative", 8), ("sfa", 8), ("lockstep", 8)]:
-        verdict = m.fullmatch(data, engine=engine, num_chunks=chunks)
+        verdict = m.fullmatch(data, plan=Plan(engine=engine, num_chunks=chunks))
         print(f"engine={engine:<12} chunks={chunks}  2MB accepted -> {verdict}")
 
     # 4. Substring search (what an IDS does): membership in Σ*·L·Σ*.

@@ -16,6 +16,7 @@ Run:  python examples/stream_monitor.py
 
 from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import ParallelStreamMatcher, StreamMatcher
+from repro.planning.plan import Plan
 
 RULES = [
     r"SELECT\+[a-z]+\+FROM",     # SQL injection shape (URL-encoded spaces)
@@ -63,7 +64,7 @@ def main() -> None:
     # The parallel cursor gives identical verdicts (Lemma 1: composition
     # is associative, so block boundaries and intra-block chunking are
     # both irrelevant).
-    par = ParallelStreamMatcher(mps.sfa, num_chunks=4)
+    par = ParallelStreamMatcher(mps.sfa, plan=Plan(num_chunks=4))
     for block in BLOCKS:
         par.feed(block)
     assert par.state == cursor.state

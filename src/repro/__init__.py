@@ -8,13 +8,11 @@ A complete reproduction of:
 
 Quickstart
 ----------
->>> from repro import compile_pattern
+>>> from repro import Plan, compile_pattern
 >>> m = compile_pattern("(ab)*")
->>> m.fullmatch(b"abababab")
+>>> m.fullmatch(b"abababab")  # plan="auto": the §3.10 cost model
 True
->>> m.fullmatch(b"abababab", engine="lockstep", num_chunks=4)
-True
->>> m.fullmatch(b"abababab", plan="auto")  # §3.10 cost-model planner
+>>> m.fullmatch(b"abababab", plan=Plan(engine="lockstep", num_chunks=4))
 True
 >>> m.sizes()["d_sfa"]
 6

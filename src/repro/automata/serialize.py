@@ -282,7 +282,7 @@ def load_ruleset(path_or_file: Union[str, io.IOBase]):
     """Load and re-validate a compiled ruleset from ``.npz`` (format ≥ 2).
 
     Returns a :class:`~repro.matching.multi.MultiPatternSet` ready to
-    ``matches``/``scan_chunked``/stream: the union DFA and rule sets come
+    ``matches``/``finditer``/stream: the union DFA and rule sets come
     straight from the archive, and the union D-SFA is either restored
     (when the archive ships one) or rebuilt lazily on first chunked scan.
     """

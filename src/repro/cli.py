@@ -5,7 +5,7 @@
     python -m repro analyze --rules-file rules.txt
     python -m repro optimize 'aaa?a?'
     python -m repro optimize --rules-file rules.txt -o opt.npz
-    python -m repro match  '(ab)*' input.bin --engine lockstep --chunks 8
+    python -m repro match  '(ab)*' input.bin
     python -m repro match  '(ab)*' input.bin --engine sfa --chunks 8 \
         --executor processes --workers 8
     python -m repro grep   'ERROR [0-9]+' server.log src/ var/log/
@@ -19,16 +19,19 @@
         --chunks 8 --executor processes --kernel stride4
     python -m repro serve --port 7320 --executor processes --cache-size 128
     python -m repro client match '(ab)*' input.bin --port 7320
+    python -m repro client match --contains 'ERROR' big.log --chunks 8 \
+        --engine sfa
     python -m repro client stream 'ERROR [0-9]+' server.log --block-size 4096
-    python -m repro calibrate            # persist kernel rates for --plan auto
+    python -m repro calibrate            # persist kernel rates for the planner
     python -m repro plan '(ab)*' --size 2000000 --warm --json
 
-Every scanning command defaults to ``--plan auto``: a cost model
-(DESIGN.md §3.10) picks engine/kernel/chunking from the input size,
-pattern analysis, core count and the rates persisted by ``repro
-calibrate``.  The explicit ``--engine/--chunks/--executor/--kernel``
-knobs still work and always override the plan; ``--plan off`` restores
-the fixed pre-planner defaults.
+Every scanning command runs the plan ``"auto"`` unless a strategy flag is
+given: a cost model (DESIGN.md §3.10) picks engine/kernel/chunking from
+the input size, pattern analysis, core count and the rates persisted by
+``repro calibrate``.  The strategy flags (``--engine/--chunks/--executor/
+--workers/--kernel`` where a command has them) build exactly
+``Plan(**given)`` instead; fields no flag names keep the ``Plan``
+defaults.
 
 ``grep`` is span-driven (DESIGN.md §3.7): files are mmapped (zero-copy),
 scanned **whole** with ``finditer``, and line numbers/matching lines are
@@ -46,9 +49,10 @@ remaining files are still scanned, and the exit code is 2.
 ``serve`` starts the long-lived match service (DESIGN.md §3.8): an
 asyncio TCP server holding a compiled-artifact LRU cache and one warm
 chunk-executor pool, so compile cost is paid once per pattern across
-requests.  ``client`` drives it: one-shot ``match``/``scan``/
-``finditer``/``multiscan`` requests, block-wise ``stream`` sessions,
-``stats``/``ping``/``shutdown`` control.
+requests.  ``client`` drives it: one-shot ``match``/``finditer``/
+``multiscan`` requests, block-wise ``stream`` sessions,
+``stats``/``ping``/``shutdown`` control.  A chunked plan sent with
+``client`` runs on the server's own executor (``serve --executor``).
 
 ``matchset`` scans one payload against a whole ruleset in a single
 union-automaton pass and prints every matching rule; ``--rules-file``
@@ -175,52 +179,34 @@ def _cmd_sizes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_and_knobs(args: argparse.Namespace, legacy_chunks: int = 8,
-                    legacy_engine: Optional[str] = None):
-    """Split strategy flags into a ``(plan, knobs)`` pair.
+#: Strategy flag -> the :class:`~repro.planning.plan.Plan` field it sets.
+_PLAN_FLAGS = (
+    ("engine", "engine"), ("chunks", "num_chunks"), ("executor", "executor"),
+    ("workers", "num_workers"), ("kernel", "kernel"),
+)
 
-    Under ``--plan auto`` (the default) only flags the user actually
-    passed become knobs — they override the planner (the back-compat
-    pin).  ``--plan off`` restores the exact pre-planner defaults by
-    filling the unset flags with their legacy values.
-    """
-    legacy = getattr(args, "plan", "auto") == "off"
-    knobs = dict(
-        num_chunks=args.chunks,
-        executor=args.executor,
-        num_workers=args.workers,
-        kernel=args.kernel,
-    )
-    if hasattr(args, "engine"):
-        knobs["engine"] = args.engine
-    if not legacy:
-        return "auto", knobs
-    if knobs.get("engine") is None and legacy_engine is not None:
-        knobs["engine"] = legacy_engine
-    if knobs["num_chunks"] is None:
-        knobs["num_chunks"] = legacy_chunks
-    if knobs["kernel"] is None:
-        knobs["kernel"] = "python"
-    return None, knobs
+
+def _plan_of(args: argparse.Namespace):
+    """The strategy flags given on the command line as exactly
+    ``Plan(**given)``; with none given, ``"auto"``."""
+    from repro.planning.plan import Plan
+
+    given = {
+        field: getattr(args, flag)
+        for flag, field in _PLAN_FLAGS
+        if getattr(args, flag, None) is not None
+    }
+    return Plan(**given) if given else "auto"
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
     m = compile_pattern(args.pattern, ignore_case=args.ignore_case)
     data = _read_input(args.input)
-    plan, knobs = _plan_and_knobs(args, legacy_engine="lockstep")
-    if args.contains:
-        ok = m.contains(data, plan=plan, **knobs)
-    else:
-        ok = m.fullmatch(data, plan=plan, **knobs)
+    fn = m.contains if args.contains else m.fullmatch
+    ok = fn(data, plan=_plan_of(args))
     print("match" if ok else "no match")
     return 0 if ok else 1
 
-
-# Below this input size grep never consults the planner (no calibration
-# read for small files).  The span engine itself picks its scalar or lane
-# passes by input size either way.  Overridable with
-# ``--parallel-threshold``.
-GREP_EXECUTOR_MIN_BYTES = 4096
 
 #: How many leading bytes are NUL-sniffed to classify a file as binary.
 GREP_BINARY_SNIFF_BYTES = 4096
@@ -282,31 +268,18 @@ def _grep_walk(paths: List[str]) -> "tuple[list[str], list[str], bool]":
     return files, missing, recursed
 
 
-def _grep_scan_file(m, path: str, args: argparse.Namespace):
+def _grep_scan_file(m, path: str, plan):
     """Scan one file; returns ``(spans, data, num_lines, newline_index)``.
 
-    ``None`` marks a skipped binary file.  Files at least
-    ``--parallel-threshold`` bytes long resolve ``--plan`` and the legacy
-    knobs; smaller files skip plan resolution.  Spans are identical either
-    way: the span engine picks its scalar or lane passes by input size.
+    ``None`` marks a skipped binary file.  The span engine picks its
+    scalar or lane passes by input size; of the plan it reads only the
+    prefilter policy.
     """
     data = _read_input(path)
     arr = np.frombuffer(data, dtype=np.uint8)
     if b"\0" in bytes(memoryview(data)[:GREP_BINARY_SNIFF_BYTES]):
         return None
-    engaged = len(arr) >= args.parallel_threshold
-    prefilter = False if args.no_prefilter else None
-    if not engaged:
-        # Small file: skip plan resolution (and its calibration read).
-        spans = m.span_engine().spans(
-            data, num_chunks=1, executor=None, num_workers=args.workers,
-            kernel="python", prefilter=prefilter,
-        )
-    else:
-        plan, knobs = _plan_and_knobs(args)
-        spans = m.span_engine().spans(
-            data, plan=plan, prefilter=prefilter, **knobs
-        )
+    spans = m.span_engine().spans(data, plan=plan)
     nl = np.flatnonzero(arr == 0x0A)
     # grep line count: a trailing newline terminates the last line rather
     # than opening an empty one.
@@ -356,31 +329,33 @@ def _grep_emit(path, result, args, prefix: bool) -> "tuple[bool, list[str]]":
 
 
 def _cmd_grep(args: argparse.Namespace) -> int:
+    from repro.planning.plan import Plan
+
     m = compile_pattern(args.pattern, ignore_case=args.ignore_case)
     m.span_engine()  # compile before fanning out to scan threads
     files, missing, recursed = _grep_walk(args.paths)
     for p in missing:
         print(f"repro grep: {p}: No such file or directory", file=sys.stderr)
     prefix = recursed or len(files) > 1
+    # Spans read only a plan's prefilter (DESIGN.md §3.7): no cost model.
+    plan = Plan(prefilter=False if args.no_prefilter else None)
 
     def scan(path):
         try:
-            return _grep_scan_file(m, path, args)
+            return _grep_scan_file(m, path, plan)
         except OSError as e:
             return e
 
     def results():
-        if len(files) > 1 and args.executor in (None, "serial"):
+        if len(files) > 1:
             # Parallel file walker: scan files concurrently, print in walk
-            # order.  With a chunk executor engaged the parallelism budget
-            # is already spent inside each file, so files go one at a time.
-            # Streaming off the ordered map (not materializing a list)
-            # lets each file's mmap and index arrays be freed as soon as
-            # its output is emitted.
+            # order.  Streaming off the ordered map (not materializing a
+            # list) lets each file's mmap and index arrays be freed as soon
+            # as its output is emitted.
             from concurrent.futures import ThreadPoolExecutor
 
-            jobs = min(len(files), args.workers or os.cpu_count() or 1, 8)
-            with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            jobs = min(len(files), os.cpu_count() or 1, 8)
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
                 yield from zip(files, pool.map(scan, files))
         else:
             for path in files:
@@ -485,8 +460,7 @@ def _cmd_matchset(args: argparse.Namespace) -> int:
         optimize=getattr(args, "optimize", False),
     )
     data = _read_input(args.input)
-    plan, knobs = _plan_and_knobs(args)
-    hits = mps.matches(data, plan=plan, **knobs)
+    hits = mps.matches(data, plan=_plan_of(args))
     for i in sorted(hits):
         print(f"{i}:{mps.patterns[i]}")
     print(f"matched {len(hits)}/{mps.num_rules} rules")
@@ -726,13 +700,12 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
             print(f"  {name}: {info.get('rules')} rules "
                   f"from {info.get('path')}")
         return 0
-    if op in ("match", "scan"):
+    if op == "match":
         data = bytes(memoryview(_read_input(args.input)))
-        fn = c.match if op == "match" else c.scan
-        mode = "contains" if (op == "scan" or args.contains) else "fullmatch"
-        ok = fn(
-            args.pattern, data, mode=mode, ignore_case=args.ignore_case,
-            chunks=args.chunks, kernel=args.kernel, plan=args.plan,
+        ok = c.match(
+            args.pattern, data,
+            mode="contains" if args.contains else "fullmatch",
+            ignore_case=args.ignore_case, plan=_plan_of(args),
         )
         print("match" if ok else "no match")
         return 0 if ok else 1
@@ -740,8 +713,7 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
         data = bytes(memoryview(_read_input(args.input)))
         spans = c.finditer(
             args.pattern, data, ignore_case=args.ignore_case,
-            chunks=args.chunks, kernel=args.kernel, plan=args.plan,
-            limit=args.limit,
+            plan=_plan_of(args), limit=args.limit,
         )
         for s, e in spans:
             print(f"{s}:{e}:{data[s:e].decode('latin-1')}")
@@ -754,8 +726,7 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
                     "choose --rules-file or --ruleset, not both"
                 )
             hits = c.multiscan(
-                data=data, ruleset=args.ruleset, chunks=args.chunks,
-                kernel=args.kernel, plan=args.plan,
+                data=data, ruleset=args.ruleset, plan=_plan_of(args),
             )
             for i in hits:
                 print(f"{i}:<{args.ruleset}>")
@@ -767,8 +738,8 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
             )
         rules = _client_rules(args)
         hits = c.multiscan(
-            rules, data, chunks=args.chunks, kernel=args.kernel,
-            plan=args.plan, backend=getattr(args, "backend", None),
+            rules, data, plan=_plan_of(args),
+            backend=getattr(args, "backend", None),
         )
         for i in hits:
             print(f"{i}:{rules[i][0]}")
@@ -792,14 +763,14 @@ def _client_stream(c, args: argparse.Namespace) -> int:
     """Feed a file block-wise through a server-side stream session."""
     if args.rules_file is not None:
         stream = c.open_stream(
-            rules=_client_rules(args), kind="multi",
-            chunks=args.chunks, kernel=args.kernel, plan=args.plan,
+            rules=_client_rules(args), kind="multi", plan=_plan_of(args),
         )
     else:
         if args.pattern is None:
             raise MatchEngineError("stream needs a pattern or --rules-file")
         stream = c.open_stream(
             pattern=args.pattern, ignore_case=args.ignore_case,
+            plan=_plan_of(args),
         )
     data = memoryview(_read_input(args.input))
     hit = False
@@ -908,53 +879,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_knobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--plan", choices=["auto", "off"], default="auto",
-            help="execution-strategy source: 'auto' (default) picks "
-            "engine/kernel/chunking from the §3.10 cost model (input "
-            "size, pattern analysis, cores, persisted 'repro calibrate' "
-            "rates); 'off' restores the fixed pre-planner defaults. "
-            "Explicit knob flags below always override the plan.",
-        )
-        p.add_argument("--chunks", type=int, default=None,
-                       help="parallel chunk count (the paper's p) "
-                       "(legacy knob; overrides --plan auto)")
-        p.add_argument(
-            "--executor",
-            choices=["serial", "threads", "processes"],
-            default=None,
-            help="chunk-dispatch backend for the chunked engines; "
-            "'processes' runs chunk scans on real cores with "
-            "shared-memory transition tables "
-            "(legacy knob; overrides --plan auto)",
-        )
-        p.add_argument("--workers", type=int, default=None,
-                       help="pool size for threads/processes "
-                       "(default: CPU count)")
-        p.add_argument(
-            "--kernel",
-            choices=["python", "stride2", "stride4", "vector"],
-            default=None,
-            help="chunk-scan kernel: stride2/stride4 precompose the "
-            "table over 2-/4-grams (largest affordable stride under "
-            "the byte budget), vector block-composes mappings in NumPy "
-            "(legacy knob; overrides --plan auto)",
-        )
+    def add_plan_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+        """Strategy flags; the ones given build ``Plan(**given)``, and
+        with none given the command runs ``"auto"``."""
+        options = {
+            "engine": dict(choices=["dfa", "speculative", "sfa", "lockstep"],
+                           help="acceptance engine (Plan.engine); the "
+                           "Plan default, dfa, reads no other strategy flag"),
+            "chunks": dict(type=int, help="chunk count, the paper's p "
+                           "(Plan.num_chunks)"),
+            "executor": dict(
+                choices=["serial", "threads", "processes"],
+                help="chunk-dispatch backend for the chunked engines; "
+                "'processes' runs chunk scans on real cores with "
+                "shared-memory transition tables (Plan.executor)"),
+            "workers": dict(type=int, help="pool size for threads/processes "
+                            "(Plan.num_workers; default: CPU count)"),
+            "kernel": dict(
+                choices=["python", "stride2", "stride4", "vector"],
+                help="chunk-scan kernel: stride2/stride4 precompose the "
+                "table over 2-/4-grams (largest affordable stride under "
+                "the byte budget), vector block-composes mappings in NumPy "
+                "(Plan.kernel)"),
+        }
+        for flag in flags:
+            p.add_argument(f"--{flag}", **options[flag])
 
     def add_common(p: argparse.ArgumentParser, with_input: bool = False) -> None:
         p.add_argument("pattern", help="regular expression")
         p.add_argument("-i", "--ignore-case", action="store_true")
         if with_input:
             p.add_argument("input", help="input file, or - for stdin")
-            p.add_argument(
-                "--engine",
-                choices=["dfa", "speculative", "sfa", "lockstep"],
-                default=None,
-                help="acceptance engine (legacy knob; overrides --plan "
-                "auto; --plan off defaults to lockstep)",
+            add_plan_flags(
+                p, "engine", "chunks", "executor", "workers", "kernel"
             )
-            add_engine_knobs(p)
 
     p = sub.add_parser("sizes", help="print pipeline automaton sizes")
     add_common(p)
@@ -1048,18 +1006,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print each (non-empty) match instead of its line")
     p.add_argument("-c", "--count", action="store_true",
                    help="print the number of matching lines per file")
-    add_engine_knobs(p)
     p.add_argument(
         "--no-prefilter", action="store_true",
         help="disable the literal-factor skip-ahead (§3.9.3) and always "
-        "run the exact backward start pass; output is identical either "
-        "way",
-    )
-    p.add_argument(
-        "--parallel-threshold", type=int, default=GREP_EXECUTOR_MIN_BYTES,
-        help="file size in bytes below which grep skips plan resolution "
-        "(--plan/--chunks/--executor/--kernel); output is identical "
-        f"either way (default: {GREP_EXECUTOR_MIN_BYTES})",
+        "run the exact backward start pass (Plan(prefilter=False)); "
+        "output is identical either way",
     )
     p.set_defaults(func=_cmd_grep)
 
@@ -1131,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
         "files only): output is bit-identical, the union automaton is "
         "smaller",
     )
-    add_engine_knobs(p)
+    add_plan_flags(p, "chunks", "executor", "workers", "kernel")
     p.set_defaults(func=_cmd_matchset)
 
     p = sub.add_parser(
@@ -1181,23 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0)
     csub = p.add_subparsers(dest="cop", required=True, metavar="op")
 
-    def add_client_knobs(cp: argparse.ArgumentParser) -> None:
-        cp.add_argument(
-            "--plan", choices=["auto", "off"], default=None,
-            help="ask the server to plan the scan ('auto': its §3.10 "
-            "cost model; 'off'/omitted: the op's legacy defaults)",
-        )
-        cp.add_argument("--chunks", type=int, default=None,
-                        help="chunk-parallel scan width on the server "
-                        "(legacy knob; overrides --plan auto)")
-        cp.add_argument(
-            "--kernel",
-            choices=["python", "stride2", "stride4", "vector"],
-            default=None,
-            help="server-side scan kernel "
-            "(legacy knob; overrides --plan auto)",
-        )
-
     csub.add_parser("ping", help="liveness probe")
     csub.add_parser("stats", help="cache/counter/latency snapshot as JSON "
                     "(per-worker + aggregate under --workers > 1)")
@@ -1205,8 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub.add_parser("reload", help="hot-reload the server's named "
                     "rulesets from their files (no dropped connections)")
     for cop, chelp in (
-        ("match", "whole-input membership test"),
-        ("scan", "chunk-parallel containment scan"),
+        ("match", "whole-input membership test (--contains: substring "
+         "search); a chunked plan runs on the server's executor"),
         ("finditer", "leftmost-longest match spans"),
     ):
         cp = csub.add_parser(cop, help=chelp)
@@ -1218,7 +1152,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="substring-search semantics")
         if cop == "finditer":
             cp.add_argument("--limit", type=int, default=None)
-        add_client_knobs(cp)
+        add_plan_flags(
+            cp, *(("engine",) if cop == "match" else ()), "chunks", "kernel"
+        )
     cp = csub.add_parser(
         "analyze",
         help="server-side static analysis (JSON report; exit 1 flags "
@@ -1248,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side union-automaton backend "
         "(omitted: the server's default, 'auto')",
     )
-    add_client_knobs(cp)
+    add_plan_flags(cp, "chunks", "kernel")
     cp = csub.add_parser(
         "stream",
         help="feed a file block-wise through a stateful stream session",
@@ -1262,13 +1198,13 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("-i", "--ignore-case", action="store_true")
     cp.add_argument("--block-size", type=int, default=65536,
                     help="bytes per feed block")
-    add_client_knobs(cp)
+    add_plan_flags(cp, "chunks", "kernel")
     p.set_defaults(func=_cmd_client)
 
     p = sub.add_parser(
         "calibrate",
         help="measure this machine's kernel rates and persist them for "
-        "the --plan auto cost model (the only command that writes the "
+        "the plan='auto' cost model (the only command that writes the "
         "calibration file)",
     )
     p.add_argument("--sample-bytes", type=int, default=1 << 20,
@@ -1283,7 +1219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="dry-run the --plan auto cost model: print the chosen "
+        help="dry-run the plan='auto' cost model: print the chosen "
         "strategy and its rationale without scanning anything",
     )
     p.add_argument("pattern", help="regular expression")

@@ -27,18 +27,14 @@ from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.sequential import SequentialDFAMatcher
 from repro.matching.speculative import speculative_run
-from repro.parallel.executor import ChunkExecutor
-from repro.planning.plan import Plan, PlanArg, resolve_plan
+from repro.parallel.executor import ChunkExecutor, caller_executor
+from repro.planning.plan import AUTO, Plan, PlanArg, resolve_plan
 from repro.regex.ast import Concat, Literal, Node, Star
 from repro.regex.charclass import ByteClassPartition, CharSet
 from repro.regex.parser import parse
 
 DEFAULT_MAX_DFA_STATES = 100_000
 DEFAULT_MAX_SFA_STATES = 2_000_000
-
-#: Legacy default strategy of :meth:`CompiledPattern.contains` (pre-planner
-#: behaviour when ``plan=None`` and no knobs are passed).
-_CONTAINS_DEFAULTS = Plan(engine="lockstep", num_chunks=8)
 
 
 class CompiledPattern:
@@ -156,35 +152,24 @@ class CompiledPattern:
         self,
         data: Union[bytes, bytearray, memoryview],
         *,
-        plan: PlanArg = None,
-        engine: Optional[str] = None,
-        num_chunks: Optional[int] = None,
-        reduction: Optional[str] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> bool:
         """Whole-input membership test ``data ∈ L(pattern)``.
 
-        ``plan`` selects the whole execution strategy at once: ``None``
-        (the legacy default — Algorithm 2 on the minimal DFA), ``"auto"``
-        (the §3.10 cost model picks engine/kernel/chunking from input
-        length, pattern facts, core count and calibration), or an explicit
-        :class:`~repro.planning.plan.Plan`.
-
-        The legacy knobs remain accepted and, when passed explicitly,
-        override the corresponding plan field (back-compat pin):
+        ``plan`` selects the whole execution strategy at once: ``"auto"``
+        (the default — the §3.10 cost model picks engine/kernel/chunking
+        from input length, pattern facts, core count and calibration), or
+        an explicit :class:`~repro.planning.plan.Plan`:
 
         * ``engine`` ∈ {"dfa", "speculative", "sfa", "lockstep"} — ``dfa``
           is Algorithm 2, ``speculative`` Algorithm 3, ``sfa`` Algorithm 5
           and ``lockstep`` its vectorized form; ``num_chunks`` is the
           paper's thread count ``p``;
-        * ``executor`` — chunk-dispatch backend for the chunked engines
-          (``"sfa"``/``"speculative"``): ``None`` (serial), a backend name
-          in {"serial", "threads", "processes"} — resolved to a warm
-          process-wide pool of ``num_workers`` workers — or any
-          :class:`~repro.parallel.executor.ChunkExecutor` instance.  The
-          single-scan engines (``"dfa"``, ``"lockstep"``) ignore it;
+        * ``executor`` — chunk-dispatch backend name for the chunked
+          engines (``"sfa"``/``"speculative"``), resolved to a warm
+          process-wide pool of ``num_workers`` workers.  The single-scan
+          engines (``"dfa"``, ``"lockstep"``) ignore it;
         * ``kernel`` ∈ {"python", "stride2", "stride4", "vector"} — the
           chunk-scan kernel (DESIGN.md §3.5) for the ``speculative``,
           ``sfa`` and ``lockstep`` engines; the stride kernels precompose
@@ -192,19 +177,17 @@ class CompiledPattern:
           lookup consumes several symbols.  ``"dfa"`` ignores it
           (Algorithm 2 is the paper's scalar baseline).
 
-        Results are plan-invariant: every resolution scans the same
-        automata and returns the same verdict.
+        ``executor`` here is a caller-owned
+        :class:`~repro.parallel.executor.ChunkExecutor` instance (a pool
+        cannot live in a frozen plan); when given, the chunked engines
+        dispatch on it instead of the plan's named pool.
+
+        Results are plan-invariant: every plan scans the same automata and
+        returns the same verdict.
         """
         classes = self.translate(data)
-        p = resolve_plan(
-            plan, "fullmatch", len(classes), subject=self,
-            engine=engine, num_chunks=num_chunks, reduction=reduction,
-            executor=executor, num_workers=num_workers, kernel=kernel,
-        )
-        return self._run_plan(
-            p, classes,
-            executor if isinstance(executor, ChunkExecutor) else None,
-        )
+        p = resolve_plan(plan, "fullmatch", len(classes), subject=self)
+        return self._run_plan(p, classes, caller_executor(executor))
 
     def _run_plan(
         self,
@@ -256,33 +239,21 @@ class CompiledPattern:
         self,
         data: Union[bytes, bytearray, memoryview],
         *,
-        plan: PlanArg = None,
-        engine: Optional[str] = None,
-        num_chunks: Optional[int] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> bool:
         """Substring-search semantics: does any substring match?
 
         Implemented as membership in ``Σ* · L · Σ*`` (the IDS use case —
-        SNORT rules are matched against packet payloads this way).  The
-        plan/knob semantics match :meth:`fullmatch`; the legacy default is
-        the lockstep engine with 8 chunks, and auto plans are costed
-        against the containment automaton (the one actually scanned).
+        SNORT rules are matched against packet payloads this way).
+        ``plan`` and ``executor`` are as in :meth:`fullmatch`; auto plans
+        are costed against the containment automaton (the one actually
+        scanned).
         """
         sp = self.search_pattern()
         classes = sp.translate(data)
-        p = resolve_plan(
-            plan, "contains", len(classes), subject=sp,
-            defaults=_CONTAINS_DEFAULTS,
-            engine=engine, num_chunks=num_chunks,
-            executor=executor, num_workers=num_workers, kernel=kernel,
-        )
-        return sp._run_plan(
-            p, classes,
-            executor if isinstance(executor, ChunkExecutor) else None,
-        )
+        p = resolve_plan(plan, "contains", len(classes), subject=sp)
+        return sp._run_plan(p, classes, caller_executor(executor))
 
     def search_pattern(self) -> "CompiledPattern":
         """The compiled ``Σ* · pattern · Σ*`` containment automaton."""
@@ -303,61 +274,51 @@ class CompiledPattern:
         self,
         data: Union[bytes, bytearray, memoryview],
         *,
-        plan: PlanArg = None,
-        num_chunks: Optional[int] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        prefilter: Optional[bool] = None,
+        plan: PlanArg = AUTO,
     ):
         """Iterate the leftmost-longest non-overlapping ``(start, end)``
         spans of the pattern in ``data`` (DESIGN.md §3.7).
 
-        ``plan`` resolves exactly as in :meth:`fullmatch`; the legacy
-        knobs ``num_chunks``/``executor``/``num_workers``/``kernel`` are
-        validated and override the plan when passed, but the span passes
-        run in NumPy lanes in-process whatever they say, so spans are
-        invariant under all of them.
-        ``prefilter=False`` disables the literal skip-ahead (§3.9.3);
-        spans are invariant under that too.  Semantics match
+        ``plan`` resolves as in :meth:`fullmatch`, but the span passes run
+        in NumPy lanes in-process whatever it says; only its ``prefilter``
+        field is read (``False`` disables the literal skip-ahead,
+        §3.9.3), and spans are invariant under that too.  Semantics match
         ``re.finditer`` except that alternation resolves to the *longest*
         branch (POSIX leftmost-longest) rather than the first.
         """
-        return iter(
-            self.span_engine().spans(
-                data, plan=plan, num_chunks=num_chunks, executor=executor,
-                num_workers=num_workers, kernel=kernel, prefilter=prefilter,
-            )
-        )
+        return iter(self.span_engine().spans(data, plan=plan))
 
     def find(
         self,
         data: Union[bytes, bytearray, memoryview],
-        **knobs,
+        *,
+        plan: PlanArg = AUTO,
     ) -> Optional[tuple]:
-        """First leftmost-longest span, or ``None``.  Knobs as
+        """First leftmost-longest span, or ``None``.  ``plan`` as
         :meth:`finditer`."""
-        spans = self.span_engine().spans(data, limit=1, **knobs)
+        spans = self.span_engine().spans(data, plan=plan, limit=1)
         return spans[0] if spans else None
 
     def count(
         self,
         data: Union[bytes, bytearray, memoryview],
-        **knobs,
+        *,
+        plan: PlanArg = AUTO,
     ) -> int:
-        """Number of non-overlapping matches.  Knobs as :meth:`finditer`."""
-        return len(self.span_engine().spans(data, **knobs))
+        """Number of non-overlapping matches.  ``plan`` as :meth:`finditer`."""
+        return len(self.span_engine().spans(data, plan=plan))
 
     def findall(
         self,
         data: Union[bytes, bytearray, memoryview],
-        **knobs,
+        *,
+        plan: PlanArg = AUTO,
     ) -> List[bytes]:
-        """The matched byte strings, in order.  Knobs as :meth:`finditer`."""
+        """The matched byte strings, in order.  ``plan`` as :meth:`finditer`."""
         buf = data if isinstance(data, (bytes, bytearray)) else memoryview(data)
         return [
             bytes(buf[s:e])
-            for s, e in self.span_engine().spans(data, **knobs)
+            for s, e in self.span_engine().spans(data, plan=plan)
         ]
 
     # -- reporting -------------------------------------------------------
@@ -419,7 +380,7 @@ def compile_pattern(
     >>> m = compile_pattern("(ab)*")
     >>> m.fullmatch(b"abab")
     True
-    >>> m.fullmatch(b"abab", engine="lockstep", num_chunks=4)
+    >>> m.fullmatch(b"abab", plan=Plan(engine="lockstep", num_chunks=4))
     True
     """
     return CompiledPattern(

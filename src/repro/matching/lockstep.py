@@ -30,11 +30,7 @@ from repro.parallel.reduction import (
     sequential_reduction_nsfa,
 )
 from repro.parallel.scan import KERNELS, sfa_scan
-from repro.planning.plan import Plan, resolve_plan
 from repro.regex.charclass import pack_stride
-
-#: Legacy defaults of a bare ``lockstep_run`` call.
-_RUN_DEFAULTS = Plan(engine="lockstep")
 
 
 @dataclass
@@ -51,10 +47,9 @@ class LockstepRunResult:
 def lockstep_run(
     sfa: SFA,
     classes: np.ndarray,
-    num_chunks: Optional[int] = None,
-    kernel: Optional[str] = None,
+    num_chunks: int = 1,
+    kernel: str = "python",
     stride_budget: Optional[int] = None,
-    plan=None,
 ) -> LockstepRunResult:
     """Run Algorithm 5 with all chunk scans advancing in lockstep.
 
@@ -70,15 +65,9 @@ def lockstep_run(
     1-gram; ``stride_budget`` overrides the default table-byte cap);
     ``"vector"`` is accepted as an alias of ``"python"`` — this engine is
     already fully vectorized.
-
-    ``plan`` bundles ``num_chunks``/``kernel`` (explicit knobs win; a bare
-    call keeps the legacy defaults of one chunk and the python kernel).
     """
-    p_ = resolve_plan(
-        plan, "multi", len(classes), subject=sfa, defaults=_RUN_DEFAULTS,
-        num_chunks=num_chunks, kernel=kernel,
-    )
-    num_chunks, kernel = p_.num_chunks, p_.kernel
+    if kernel not in KERNELS:
+        raise MatchEngineError(f"unknown kernel {kernel!r}")
     table = sfa.table
     scan_classes = classes
     stride_tail = None

@@ -39,11 +39,11 @@ real rulesets (a dozen random IDS rules already exceed 200k states):
   exploding eager attempt falls back to lazy).
 
 The scan paths have feature parity with :class:`CompiledPattern`
-(DESIGN.md §3.6): ``executor=`` dispatches chunk scans on the serial /
-thread / process backends (union tables ride the content-addressed
-shared-memory publication path), ``kernel=`` picks the scan kernel, and
-serial scans run the union DFA directly with the largest affordable
-precomposed stride table.  Compiled rulesets persist via
+(DESIGN.md §3.6): a plan's ``executor`` dispatches chunk scans on the
+serial / thread / process backends (union tables ride the
+content-addressed shared-memory publication path), its ``kernel`` picks
+the scan kernel, and serial scans run the union DFA directly with the
+largest affordable precomposed stride table.  Compiled rulesets persist via
 :func:`repro.automata.serialize.save_ruleset` and stream via
 :class:`repro.matching.stream.StreamingMultiMatcher`.
 """
@@ -63,9 +63,9 @@ from repro.errors import AutomatonError, MatchEngineError, StateExplosionError
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.parallel.chunking import clamp_chunks
-from repro.parallel.executor import ChunkExecutor
+from repro.parallel.executor import ChunkExecutor, caller_executor
 from repro.parallel.scan import scan_block
-from repro.planning.plan import Plan, PlanArg, resolve_plan
+from repro.planning.plan import AUTO, Plan, PlanArg, resolve_plan
 from repro.regex.ast import Concat, Literal, Star
 from repro.regex.charclass import ByteClassPartition, CharSet
 from repro.regex.parser import parse
@@ -96,10 +96,6 @@ GROUP_EAGER_POSITIONS = 128
 
 #: A rule is a plain regex source, or a ``(pattern, ignore_case)`` pair.
 Rule = Union[str, Tuple[str, bool]]
-
-#: Legacy default strategy of the ruleset scan entry points: one serial
-#: chunk over the union DFA (pre-planner behaviour with no knobs).
-_MULTI_DEFAULTS = Plan(engine="lockstep", num_chunks=1)
 
 
 def _normalize_rules(
@@ -556,60 +552,33 @@ class MultiPatternSet:
         return out
 
     # -- matching ------------------------------------------------------------
-    def _resolve(
-        self,
-        plan: PlanArg,
-        n: int,
-        num_chunks: Optional[int],
-        executor,
-        num_workers: Optional[int],
-        kernel: Optional[str],
-    ) -> Tuple[Plan, Optional[ChunkExecutor]]:
-        """One boundary conversion for every scan entry point: fold the
-        legacy knobs into a :class:`Plan`, keeping a caller-supplied
-        executor *instance* alongside (plans hold backend names only)."""
-        ex_instance = executor if isinstance(executor, ChunkExecutor) else None
-        p = resolve_plan(
-            plan, "multi", n, subject=self,
-            defaults=_MULTI_DEFAULTS,
-            num_chunks=num_chunks,
-            executor=None if ex_instance is not None else executor,
-            num_workers=num_workers, kernel=kernel,
-        )
-        return p, ex_instance
-
     def matches(
         self,
         data: bytes,
-        num_chunks: Optional[int] = None,
         *,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> Set[int]:
         """Indices of all rules matching ``data``.
 
-        ``plan`` resolves the scan strategy (``None`` = serial legacy
-        default, ``"auto"`` = cost model, explicit
-        :class:`~repro.planning.plan.Plan`); explicit legacy knobs
-        override it.  ``num_chunks > 1`` runs Algorithm 5 on the union
-        D-SFA — lockstep (vectorized) when no executor is given, or
-        per-chunk scans dispatched through ``executor`` (``"serial"``/
-        ``"threads"``/``"processes"`` or a
-        :class:`~repro.parallel.executor.ChunkExecutor` instance; the
-        process backend publishes the union table over shared memory
-        once).  ``kernel`` picks the scan kernel; serial scans use the
-        largest affordable precomposed stride table of the union DFA.
-        The result is chunking- and backend-invariant — the lazy backend
-        walks its on-the-fly automaton (chunking folds sequentially), the
-        sharded backend scans only the groups the literal prefilter
-        cannot rule out and unions their verdicts.
+        ``plan`` resolves the scan strategy (``"auto"`` = cost model, or an
+        explicit :class:`~repro.planning.plan.Plan`).  A plan with
+        ``num_chunks > 1`` runs Algorithm 5 on the union D-SFA — lockstep
+        (vectorized) when it names no executor, or per-chunk scans
+        dispatched through its executor backend (the process backend
+        publishes the union table over shared memory once);
+        ``executor`` is a caller-owned
+        :class:`~repro.parallel.executor.ChunkExecutor` used instead of
+        the plan's named pool.  The plan's ``kernel`` picks the scan
+        kernel; serial scans use the largest affordable precomposed stride
+        table of the union DFA.  The result is chunking- and
+        backend-invariant — the lazy backend walks its on-the-fly
+        automaton, the sharded backend scans only the groups the literal
+        prefilter cannot rule out and unions their verdicts.
         """
         classes = self.partition.translate(data)
-        p, ex = self._resolve(
-            plan, len(classes), num_chunks, executor, num_workers, kernel
-        )
+        p = resolve_plan(plan, "multi", len(classes), subject=self)
+        ex = caller_executor(executor)
         if self._backend == "sharded":
             return self._sharded_matches(data, classes, p, ex)
         q = self._final_origin_state(classes, p, ex)
@@ -618,19 +587,15 @@ class MultiPatternSet:
     def matches_any(
         self,
         data: bytes,
-        num_chunks: Optional[int] = None,
         *,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> bool:
-        """Does any rule match?  (cheapest verdict; same knobs as
-        :meth:`matches`)"""
+        """Does any rule match?  (cheapest verdict; ``plan`` and
+        ``executor`` as :meth:`matches`)"""
         classes = self.partition.translate(data)
-        p, ex = self._resolve(
-            plan, len(classes), num_chunks, executor, num_workers, kernel
-        )
+        p = resolve_plan(plan, "multi", len(classes), subject=self)
+        ex = caller_executor(executor)
         if self._backend == "sharded":
             return bool(
                 self._sharded_matches(data, classes, p, ex, any_only=True)
@@ -708,22 +673,18 @@ class MultiPatternSet:
     def finditer(
         self,
         data: bytes,
-        num_chunks: Optional[int] = None,
         *,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
+        plan: PlanArg = AUTO,
     ) -> List[Tuple[int, int, int]]:
         """Leftmost-longest ``(rule, start, end)`` spans for every rule.
 
         Three-stage plan (DESIGN.md §3.7/§3.9.3): a literal *prescreen*
         first drops every rule whose required literal is absent from the
         payload (and skips the union scan outright when nothing survives);
-        then the union automaton prefilters with one (chunk-parallel,
-        kernel-accelerated) scan — in search mode, rules that do not match
-        anywhere extract no spans — then each surviving rule runs its own
-        span engine serially.  Results are merged in stream order
+        then the union automaton prefilters with one scan under ``plan``
+        — in search mode, rules that do not match anywhere extract no
+        spans — then each surviving rule runs its own span engine
+        serially.  Results are merged in stream order
         ``(start, end, rule)``.  In ``"fullmatch"`` mode the union verdict
         is whole-input membership, not occurrence, so every prescreen
         survivor is extracted.
@@ -732,10 +693,7 @@ class MultiPatternSet:
         if not survivors:
             return []
         if self.mode == "search":
-            hits = self.matches(
-                data, num_chunks, executor=executor, num_workers=num_workers,
-                kernel=kernel, plan=plan,
-            )
+            hits = self.matches(data, plan=plan)
             hit_rules: Sequence[int] = sorted(hits.intersection(survivors))
         else:
             hit_rules = survivors
@@ -746,44 +704,6 @@ class MultiPatternSet:
         ]
         out.sort(key=lambda t: (t[1], t[2], t[0]))
         return out
-
-    def scan_chunked(
-        self,
-        data: bytes,
-        num_chunks: Optional[int] = None,
-        *,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
-    ) -> Set[int]:
-        """Algorithm 5 with explicit per-chunk scans (thread-shaped).
-
-        Chunk scans are shipped as ``(kernel, table, span)`` tasks through
-        :meth:`~repro.parallel.executor.ChunkExecutor.scan`, so the
-        process backend sends shared-memory references instead of tables.
-        ``num_chunks`` is clamped to the symbol count — ``p > n`` never
-        dispatches an empty chunk.  Equivalent to
-        ``matches(data, num_chunks)`` for every backend and kernel; the
-        lazy backend folds the chunks sequentially (its automaton has no
-        mapping payloads to compose), the sharded backend delegates to the
-        group scan.
-        """
-        classes = self.partition.translate(data)
-        p, ex = self._resolve(
-            plan, len(classes), num_chunks, executor, num_workers, kernel
-        )
-        if self._backend == "sharded":
-            return self._sharded_matches(data, classes, p, ex)
-        if self._backend == "lazy":
-            q = self._lazy_chunk_carry(classes, p.num_chunks)
-            return self._report_rules(self.rule_sets[q])
-        res = parallel_sfa_run(
-            self.sfa, classes, p.num_chunks, p.reduction,
-            ex or p.resolve_executor(), p.kernel,
-            stride_budget=self.stride_budget,
-        )
-        return self._report_rules(self.rule_sets[res.final_states[0]])
 
     # -- scan internals ------------------------------------------------------
     def _final_origin_state(
@@ -827,17 +747,6 @@ class MultiPatternSet:
         return scan_block(
             self._dfa, self._dfa.initial, classes, kernel, self.stride_budget
         )
-
-    def _lazy_chunk_carry(self, classes: np.ndarray, num_chunks: int) -> int:
-        """Chunked scan on the lazy union: per-chunk walks carrying the
-        state across boundaries (Algorithm 5's blocking, sequential fold)."""
-        p = clamp_chunks(len(classes), num_chunks)
-        if p <= 1:
-            return self._union.run_classes(classes)
-        q = self._union.initial
-        for chunk in np.array_split(np.asarray(classes), p):
-            q = self._union.run_classes(chunk, start=q)
-        return q
 
     def _sharded_matches(
         self,

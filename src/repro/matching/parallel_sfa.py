@@ -25,12 +25,7 @@ from repro.parallel.reduction import (
     tree_reduction_transformations,
 )
 from repro.parallel.scan import KERNELS, sfa_scan
-from repro.planning.plan import Plan, resolve_plan
 from repro.regex.charclass import pack_stride
-
-#: Legacy defaults of a bare ``parallel_sfa_run`` call: one chunk,
-#: sequential reduction, per-byte python kernel.
-_RUN_DEFAULTS = Plan(engine="sfa")
 
 
 def sfa_chunk_scan(table: np.ndarray, initial: int, classes: np.ndarray) -> int:
@@ -57,19 +52,13 @@ class ParallelSFARunResult:
 def parallel_sfa_run(
     sfa: SFA,
     classes: np.ndarray,
-    num_chunks: Optional[int] = None,
-    reduction: Optional[str] = None,
+    num_chunks: int = 1,
+    reduction: str = "sequential",
     executor: Optional[ChunkExecutor] = None,
-    kernel: Optional[str] = None,
+    kernel: str = "python",
     stride_budget: Optional[int] = None,
-    plan=None,
 ) -> ParallelSFARunResult:
     """Full Algorithm 5.
-
-    ``plan`` bundles the strategy knobs (``"auto"`` asks the §3.10 cost
-    model, costed against the SFA being scanned); explicitly-passed
-    legacy knobs override it, and with no plan the legacy defaults apply
-    (one chunk, sequential reduction, python kernel).
 
     ``reduction`` ∈ {"sequential", "tree"}; ``executor`` controls how chunk
     scans are dispatched — serial by default, a thread pool for the paper's
@@ -86,16 +75,9 @@ def parallel_sfa_run(
     ``num_chunks`` is clamped to the symbol count so no empty chunk is
     ever dispatched.
     """
-    ex_instance = executor if isinstance(executor, ChunkExecutor) else None
-    p = resolve_plan(
-        plan, "fullmatch", len(classes), subject=sfa,
-        defaults=_RUN_DEFAULTS,
-        num_chunks=num_chunks, reduction=reduction,
-        executor=None if ex_instance is not None else executor,
-        kernel=kernel,
-    )
-    num_chunks, reduction, kernel = p.num_chunks, p.reduction, p.kernel
-    executor = ex_instance or p.resolve_executor() or SerialExecutor()
+    if kernel not in KERNELS:
+        raise MatchEngineError(f"unknown kernel {kernel!r}")
+    executor = executor or SerialExecutor()
     st = None
     if kernel in ("stride2", "stride4"):
         st = best_stride_table(

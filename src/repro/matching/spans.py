@@ -103,6 +103,7 @@ from repro.automata.nfa import NFA, glushkov_nfa
 from repro.automata.sfa import SFA, correspondence_construction
 from repro.errors import MatchEngineError, StateExplosionError
 from repro.parallel.scan import _accept_flat, _scaled_flat, mask_scan
+from repro.planning.plan import AUTO, PlanArg, resolve_plan
 from repro.regex.ast import Concat, Literal, Star, reverse_node
 from repro.regex.charclass import CharSet
 from repro.util.bitset import iter_bits
@@ -216,41 +217,28 @@ class SpanEngine:
         self,
         data: Data,
         *,
-        plan=None,
-        num_chunks: Optional[int] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
+        plan: PlanArg = AUTO,
         limit: Optional[int] = None,
-        prefilter: Optional[bool] = None,
     ) -> List[Span]:
         """All leftmost-longest non-overlapping ``(start, end)`` spans.
 
-        ``plan`` resolves as everywhere else (``None`` = the legacy serial
-        defaults, ``"auto"`` = the §3.10 cost model, or an explicit
-        :class:`~repro.planning.plan.Plan`); explicitly-passed legacy
-        knobs override the plan and are validated, while both span passes
-        run in-process (in NumPy lanes above their gates) whatever the
-        plan says.  ``prefilter`` controls the literal skip-ahead: ``None``
-        (default) engages it whenever the analyzer produced a plan,
-        ``False`` forces the exact backward start pass (the two are
-        span-identical — the prefilter only over-approximates *candidate*
-        starts; the emission walk rejects the false ones).  ``limit``
-        caps the number of spans returned (``0`` returns none).
+        ``plan`` resolves as everywhere else (``"auto"`` = the §3.10 cost
+        model, or an explicit :class:`~repro.planning.plan.Plan`), but
+        both span passes run in-process (in NumPy lanes above their
+        gates) whatever it says.  Only its ``prefilter`` field is read:
+        ``None`` engages the literal skip-ahead whenever the analyzer
+        produced a plan, ``False`` forces the exact backward start pass
+        (the two are span-identical — the prefilter only over-approximates
+        *candidate* starts; the emission walk rejects the false ones).
+        ``limit`` caps the number of spans returned (``0`` returns none).
         """
-        from repro.planning.plan import resolve_plan
-
         if limit is not None and (
             isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
         ):
             raise MatchEngineError(
                 f"limit must be a non-negative int, got {limit!r}"
             )
-        p = resolve_plan(
-            plan, "spans", len(data), subject=self.pattern,
-            num_chunks=num_chunks, executor=executor,
-            num_workers=num_workers, kernel=kernel, prefilter=prefilter,
-        )
+        p = resolve_plan(plan, "spans", len(data), subject=self.pattern)
         classes = self.partition.translate(data)
         if self.prefilter is not None and p.prefilter is not False:
             bits = self.prefilter_bits(data, len(classes))

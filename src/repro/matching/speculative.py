@@ -22,11 +22,7 @@ from repro.errors import MatchEngineError
 from repro.parallel.chunking import clamp_chunks, split_balanced
 from repro.parallel.executor import ChunkExecutor, SerialExecutor
 from repro.parallel.scan import KERNELS, table_columns, transform_scan
-from repro.planning.plan import Plan, resolve_plan
 from repro.regex.charclass import pack_stride
-
-#: Legacy defaults of a bare ``speculative_run`` call.
-_RUN_DEFAULTS = Plan(engine="speculative")
 
 
 def chunk_transformation(table: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -68,17 +64,12 @@ class SpeculativeRunResult:
 def speculative_run(
     dfa: DFA,
     classes: np.ndarray,
-    num_chunks: Optional[int] = None,
-    reduction: Optional[str] = None,
+    num_chunks: int = 1,
+    reduction: str = "sequential",
     executor: Optional[ChunkExecutor] = None,
-    kernel: Optional[str] = None,
-    plan=None,
+    kernel: str = "python",
 ) -> SpeculativeRunResult:
     """Full Algorithm 3: chunked speculative scan + reduction.
-
-    ``plan`` bundles the strategy knobs (explicit legacy knobs win; with
-    neither, the legacy defaults apply: one chunk, sequential reduction,
-    python kernel).
 
     ``reduction`` ∈ {"sequential", "tree"}:
 
@@ -94,16 +85,9 @@ def speculative_run(
     and run the vector shape over the packed stream.  ``num_chunks`` is
     clamped to the symbol count so no empty chunk is dispatched.
     """
-    ex_instance = executor if isinstance(executor, ChunkExecutor) else None
-    p = resolve_plan(
-        plan, "fullmatch", len(classes), subject=dfa,
-        defaults=_RUN_DEFAULTS,
-        num_chunks=num_chunks, reduction=reduction,
-        executor=None if ex_instance is not None else executor,
-        kernel=kernel,
-    )
-    num_chunks, reduction, kernel = p.num_chunks, p.reduction, p.kernel
-    executor = ex_instance or p.resolve_executor() or SerialExecutor()
+    if kernel not in KERNELS:
+        raise MatchEngineError(f"unknown kernel {kernel!r}")
+    executor = executor or SerialExecutor()
     n = dfa.num_states
     st = None
     if kernel in ("stride2", "stride4"):

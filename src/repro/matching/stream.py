@@ -10,8 +10,9 @@ without replaying.
 
 Blocks are accepted as ``bytes``, ``bytearray`` or ``memoryview`` and are
 translated through the buffer protocol without copying.  All cursors take
-the same ``kernel`` knob as the offline engines (DESIGN.md §3.5), so a
-stream can be scanned with the multi-stride or vectorized kernels.
+the same ``plan`` argument as the offline engines (``"auto"`` or a
+:class:`~repro.planning.plan.Plan`), whose ``kernel`` (DESIGN.md §3.5)
+and ``num_chunks`` pick the block scan.
 
 Five cursor flavours:
 
@@ -41,7 +42,7 @@ from repro.automata.sfa import SFA
 from repro.errors import MatchEngineError
 from repro.matching.lockstep import lockstep_run
 from repro.parallel.scan import scan_block
-from repro.planning.plan import Plan, PlanArg, resolve_plan
+from repro.planning.plan import AUTO, PlanArg, resolve_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.matching.multi import MultiPatternSet
@@ -52,13 +53,8 @@ Block = Union[bytes, bytearray, memoryview]
 class StreamMatcher:
     """Online membership cursor over a fixed SFA."""
 
-    def __init__(
-        self, sfa: SFA, kernel: Optional[str] = None, plan: PlanArg = None,
-    ):
-        p = resolve_plan(
-            plan, "stream", -1, subject=sfa,
-            defaults=Plan(engine="sfa"), kernel=kernel,
-        )
+    def __init__(self, sfa: SFA, plan: PlanArg = AUTO):
+        p = resolve_plan(plan, "stream", -1, subject=sfa)
         self.sfa = sfa
         self.kernel = p.kernel
         self.plan = p
@@ -101,18 +97,8 @@ class ParallelStreamMatcher:
     the reachable mappings are closed under composition.
     """
 
-    def __init__(
-        self,
-        sfa: SFA,
-        num_chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
-    ):
-        p = resolve_plan(
-            plan, "stream", -1, subject=sfa,
-            defaults=Plan(engine="lockstep", num_chunks=8),
-            num_chunks=num_chunks, kernel=kernel,
-        )
+    def __init__(self, sfa: SFA, plan: PlanArg = AUTO):
+        p = resolve_plan(plan, "stream", -1, subject=sfa)
         self.sfa = sfa
         self.num_chunks = p.num_chunks
         self.kernel = p.kernel
@@ -183,9 +169,12 @@ class StreamingSpanMatcher:
     patterns, or ``a.*b`` fed only viable prefixes) buffer until
     :meth:`finish`; that retention is the price of exact leftmost-longest
     semantics, not a leak.
+
+    ``plan`` is taken for a signature uniform with the other cursors; no
+    field of it applies (every block runs the exact start pass in-process).
     """
 
-    def __init__(self, pattern, plan: PlanArg = None):
+    def __init__(self, pattern, plan: PlanArg = AUTO):
         from repro.matching.engine import CompiledPattern
 
         if not isinstance(pattern, CompiledPattern):
@@ -194,10 +183,6 @@ class StreamingSpanMatcher:
                 f"got {pattern!r}"
             )
         self.engine = pattern.span_engine()
-        # span streaming reuses the offline span cost model ("spans"): the
-        # lockstep stride kernels of the "stream" task don't apply to the
-        # reversed-DFA start pass.
-        self.plan = resolve_plan(plan, "spans", -1, subject=pattern)
         self._buf = bytearray()
         self._base = 0  # global stream offset of _buf[0]
         self._done = False
@@ -260,7 +245,7 @@ class StreamingMultiSpanMatcher:
     (one union-automaton state, rule-count-independent).
     """
 
-    def __init__(self, ruleset: "MultiPatternSet", plan: PlanArg = None):
+    def __init__(self, ruleset: "MultiPatternSet", plan: PlanArg = AUTO):
         self.ruleset = ruleset
         self._cursors = [
             StreamingSpanMatcher(ruleset.rule_pattern(r), plan=plan)
@@ -316,18 +301,8 @@ class StreamingMultiMatcher:
     :class:`StreamMatcher`.
     """
 
-    def __init__(
-        self,
-        ruleset: "MultiPatternSet",
-        num_chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
-    ):
-        p = resolve_plan(
-            plan, "stream", -1, subject=ruleset,
-            defaults=Plan(engine="lockstep", num_chunks=1),
-            num_chunks=num_chunks, kernel=kernel,
-        )
+    def __init__(self, ruleset: "MultiPatternSet", plan: PlanArg = AUTO):
+        p = resolve_plan(plan, "stream", -1, subject=ruleset)
         self.ruleset = ruleset
         self.num_chunks = p.num_chunks
         self.kernel = p.kernel

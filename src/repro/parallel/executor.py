@@ -711,6 +711,18 @@ def resolve_executor(
     raise MatchEngineError(f"not an executor: {executor!r}")
 
 
+def caller_executor(executor) -> Optional[ChunkExecutor]:
+    """Check an entry point's ``executor=`` argument: ``None`` or a
+    caller-owned :class:`ChunkExecutor`.  A backend *name* belongs in a
+    plan (``Plan(executor="processes")``)."""
+    if executor is None or isinstance(executor, ChunkExecutor):
+        return executor
+    raise MatchEngineError(
+        f"executor must be a ChunkExecutor instance, got {executor!r} "
+        "(name a backend with Plan(executor=...))"
+    )
+
+
 @atexit.register
 def _close_shared_executors() -> None:  # pragma: no cover - exit path
     for ex in _SHARED.values():

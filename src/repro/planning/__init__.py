@@ -1,10 +1,10 @@
-"""Query planning: one cost-model :class:`Plan` replaces the knob explosion.
+"""Query planning: one :class:`Plan` says how to run a scan.
 
 Public surface:
 
 * :class:`Plan` / :func:`resolve_plan` — the strategy object and the one
-  conversion folding legacy ``executor=/kernel=/num_chunks=`` knobs into
-  it at each API boundary;
+  conversion of a ``plan=`` argument (``"auto"`` or a :class:`Plan`)
+  into it at each API boundary;
 * :class:`Planner` / :func:`get_planner` — the ``plan="auto"`` cost model;
 * :mod:`~repro.planning.calibration` — the ``repro calibrate`` persisted
   micro-measurements the cost model consumes.

@@ -266,6 +266,7 @@ def run_calibration(
     from repro.matching.lockstep import lockstep_run
     from repro.matching.parallel_sfa import parallel_sfa_run
     from repro.matching.speculative import speculative_run
+    from repro.planning.plan import Plan
 
     pattern = compile_pattern("(a|b)*a(a|b){4}")
     rng = np.random.default_rng(20130913)
@@ -277,7 +278,8 @@ def run_calibration(
 
     rates: Dict[str, float] = {}
     rates["dfa_python"] = measure_throughput(
-        lambda: pattern.fullmatch(data, engine="dfa"), sample_bytes, repeat
+        lambda: pattern.fullmatch(data, plan=Plan(engine="dfa")),
+        sample_bytes, repeat,
     )
     for kernel in ("python", "stride2", "stride4"):
         rates[f"sfa_{kernel}"] = measure_throughput(
@@ -300,7 +302,7 @@ def run_calibration(
         sample_bytes, repeat,
     )
     rates["spans_python"] = measure_throughput(
-        lambda: pattern.count(data), sample_bytes, repeat
+        lambda: pattern.count(data, plan=Plan()), sample_bytes, repeat
     )
 
     dispatch: Dict[str, float] = {}

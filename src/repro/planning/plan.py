@@ -1,23 +1,20 @@
-"""The :class:`Plan` object — one value that answers every "how" knob.
+"""The :class:`Plan` object — one value that answers every "how" question.
 
-Before this module, every engine call threaded ``engine= / executor= /
-num_workers= / kernel= / num_chunks= / prefilter=`` through 4+ layers of
-kwargs, and each layer re-defaulted them independently (DESIGN.md §3.10).
-A :class:`Plan` bundles the complete execution strategy for one scan; the
-single conversion function :func:`resolve_plan` folds the legacy knobs
-into a plan **once, at the API boundary**, so everything below the public
-entry points consumes plan fields instead of loose kwargs.
+A :class:`Plan` bundles the complete execution strategy for one scan
+(engine, executor, kernel, chunk count, prefilter policy, reduction), and
+it is the only strategy argument the public entry points take
+(DESIGN.md §3.10).  :func:`resolve_plan` turns a ``plan=`` argument into
+a plan **once, at the API boundary**, so everything below the entry
+points consumes plan fields instead of loose kwargs.
 
-Resolution order (most to least binding):
+Resolution order:
 
-1. explicitly-passed legacy knobs (``kernel="stride4"`` beats any plan —
-   the back-compat pin: callers who hand-picked a combination keep it);
-2. an explicit :class:`Plan` instance;
-3. ``plan="auto"`` — the :class:`~repro.planning.planner.Planner`'s cost
-   model picks the strategy from input length, pattern analysis facts,
-   core count and persisted calibration;
-4. the entry point's legacy defaults (``plan=None`` with no knobs —
-   bit-for-bit the pre-planner behaviour).
+1. an explicit :class:`Plan` instance (or its :meth:`Plan.to_dict` form,
+   the service's wire shape) is used as given;
+2. ``plan="auto"`` — the default everywhere — asks the
+   :class:`~repro.planning.planner.Planner`'s cost model, which picks the
+   strategy from input length, pattern analysis facts, core count and
+   persisted calibration.
 """
 
 from __future__ import annotations
@@ -36,11 +33,15 @@ AUTO = "auto"
 TASKS = ("fullmatch", "contains", "spans", "multi", "stream")
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class Plan:
     """A complete execution strategy for one scan.
 
-    Field semantics match the legacy knobs they replace:
+    Fields:
 
     ``engine``
         acceptance engine: ``"dfa"`` (Algorithm 2), ``"speculative"``
@@ -63,9 +64,8 @@ class Plan:
     ``reduction``
         chunk-result reduction (``"sequential"``/``"tree"``).
     ``source``
-        provenance: ``"default"`` (legacy defaults), ``"legacy"``
-        (explicit knobs), ``"auto"`` (cost model), with ``"+knobs"``
-        appended when explicit knobs overrode a plan.
+        provenance: ``"default"`` (built by hand) or ``"auto"`` (chosen
+        by the cost model).
     ``reason``
         one-line planner rationale (surfaces in ``repro plan`` and the
         service plan dump; empty for non-auto plans).
@@ -90,8 +90,19 @@ class Plan:
                 f"unknown kernel {self.kernel!r} "
                 f"(choose from {', '.join(KERNELS)})"
             )
-        if self.num_chunks < 1:
-            raise MatchEngineError("num_chunks must be >= 1")
+        if not _positive_int(self.num_chunks):
+            raise MatchEngineError(
+                f"num_chunks must be >= 1 (an int), got {self.num_chunks!r}"
+            )
+        if self.num_workers is not None and not _positive_int(self.num_workers):
+            raise MatchEngineError(
+                f"num_workers must be None or >= 1 (an int), "
+                f"got {self.num_workers!r}"
+            )
+        if self.prefilter is not None and not isinstance(self.prefilter, bool):
+            raise MatchEngineError(
+                f"prefilter must be None or a bool, got {self.prefilter!r}"
+            )
         if self.executor is not None and self.executor not in EXECUTOR_NAMES:
             raise MatchEngineError(
                 f"unknown executor {self.executor!r} "
@@ -106,8 +117,8 @@ class Plan:
     def resolve_executor(self):
         """The live :class:`~repro.parallel.executor.ChunkExecutor` (or
         ``None`` for in-process scanning).  ``executor=None`` and
-        ``executor="serial"`` keep their legacy distinction: some engines
-        use the in-process lockstep path only when *no* executor is set."""
+        ``executor="serial"`` differ: some engines use the in-process
+        lockstep path only when *no* executor is set."""
         from repro.parallel.executor import resolve_executor
 
         return resolve_executor(self.executor, self.num_workers)
@@ -148,12 +159,6 @@ class Plan:
 
 PlanArg = Union[None, str, Plan, Dict[str, Any]]
 
-#: Legacy-knob names :func:`resolve_plan` folds into plan fields.
-_KNOBS = (
-    "engine", "num_chunks", "executor", "num_workers", "kernel",
-    "prefilter", "reduction",
-)
-
 
 def resolve_plan(
     plan: PlanArg,
@@ -162,73 +167,39 @@ def resolve_plan(
     *,
     subject=None,
     defaults: Optional[Plan] = None,
-    engine: Optional[str] = None,
-    num_chunks: Optional[int] = None,
-    executor=None,
-    num_workers: Optional[int] = None,
-    kernel: Optional[str] = None,
-    prefilter: Optional[bool] = None,
-    reduction: Optional[str] = None,
+    **overrides: Any,
 ) -> Plan:
-    """Fold a ``plan=`` argument plus legacy knobs into one :class:`Plan`.
+    """Turn a ``plan=`` argument into one :class:`Plan`.
 
     This is *the* conversion function: every public entry point calls it
-    exactly once and passes plan fields downward, replacing the per-layer
-    kwarg threading.  ``task`` ∈ :data:`TASKS`, ``n`` is the input length
-    in bytes, ``subject`` is the compiled object being scanned (a
+    exactly once and passes plan fields downward.  ``plan`` is ``"auto"``
+    (the cost model), a :class:`Plan`, or a plan dict (the service's wire
+    shape).  ``task`` ∈ :data:`TASKS`, ``n`` is the input length in bytes,
+    and ``subject`` is the compiled object being scanned (a
     :class:`~repro.matching.engine.CompiledPattern`,
     :class:`~repro.matching.multi.MultiPatternSet`, or a raw automaton)
     — the planner mines it for analysis facts and already-built tables.
 
-    Legacy knobs passed as non-``None`` always win over the plan (the
-    back-compat pin); an executor *instance* stays an instance and is
-    carried outside the plan by the caller.
+    ``plan=None`` (``defaults``, else ``Plan()``) and the ``num_chunks``/
+    ``kernel`` overrides serve the benchmark's traced service replay,
+    which rebuilds a fixed plan this way; no entry point passes them.
+    (An entry point handed ``plan=None`` therefore runs ``Plan()``.)
     """
     if task not in TASKS:
         raise MatchEngineError(f"unknown plan task {task!r}")
-    knobs: Dict[str, Any] = {}
-    if engine is not None:
-        knobs["engine"] = engine
-    if num_chunks is not None:
-        knobs["num_chunks"] = int(num_chunks)
-    if executor is not None:
-        if isinstance(executor, str):
-            knobs["executor"] = executor
-        else:
-            from repro.parallel.executor import ChunkExecutor
-
-            if not isinstance(executor, ChunkExecutor):
-                raise MatchEngineError(f"not an executor: {executor!r}")
-            # An executor instance cannot live in a (picklable, comparable)
-            # plan; record its backend name — the caller keeps the object
-            # and passes it alongside the resolved plan.
-            knobs["executor"] = getattr(executor, "name", "serial")
-    if num_workers is not None:
-        knobs["num_workers"] = int(num_workers)
-    if kernel is not None:
-        knobs["kernel"] = kernel
-    if prefilter is not None:
-        knobs["prefilter"] = bool(prefilter)
-    if reduction is not None:
-        knobs["reduction"] = reduction
-
+    unknown = sorted(set(overrides) - {"num_chunks", "kernel"})
+    if unknown:
+        raise TypeError(f"resolve_plan() got unexpected keyword {unknown}")
     if plan is None:
         base = defaults if defaults is not None else Plan()
-        if knobs:
-            base = replace(base, **knobs, source="legacy")
-        return base
-    if isinstance(plan, Plan):
+    elif isinstance(plan, Plan):
         base = plan
     elif isinstance(plan, dict):
         base = Plan.from_dict(plan)
     elif plan == AUTO:
         from repro.planning.planner import get_planner
 
-        base = get_planner().plan(task, n, subject=subject, defaults=defaults)
+        base = get_planner().plan(task, n, subject=subject)
     else:
-        raise MatchEngineError(
-            f"plan must be None, 'auto' or a Plan, got {plan!r}"
-        )
-    if knobs:
-        base = replace(base, **knobs, source=base.source + "+knobs")
-    return base
+        raise MatchEngineError(f"plan must be 'auto' or a Plan, got {plan!r}")
+    return replace(base, **overrides) if overrides else base

@@ -105,7 +105,6 @@ class Planner:
         n: int,
         *,
         subject=None,
-        defaults: Optional[Plan] = None,
     ) -> Plan:
         """Pick a plan for scanning ``n`` bytes in the given ``task`` mode.
 
@@ -113,8 +112,7 @@ class Planner:
         planner mines it for analysis facts, automaton sizes and
         already-built artifacts but never triggers a build itself.
         ``n < 0`` means "unknown length" (streaming): a nominal 1 MiB is
-        assumed.  ``defaults`` seeds task-specific fields the cost model
-        does not decide (e.g. the span engine's prefilter policy).
+        assumed.
         """
         if task not in TASKS:
             from repro.errors import MatchEngineError
@@ -193,7 +191,7 @@ class Planner:
             # The "never slower than python" floor: Algorithm 2 on the
             # minimal DFA, no SFA or stride table to build.
             (
-                mb / cal.rate("dfa_python") + self._dfa_build_s(subject),
+                mb / cal.rate("dfa_python"),
                 Plan(engine="dfa", kernel="python", num_chunks=1),
             )
         ]
@@ -323,11 +321,6 @@ class Planner:
         if auto is None:
             return None
         return int(auto.num_states), int(auto.num_classes)
-
-    def _dfa_build_s(self, subject) -> float:
-        if subject is None or _built(subject, "min_dfa") is not None:
-            return 0.0
-        return 0.0  # every engine needs at least the DFA; common cost
 
     def _sfa_build_s(self, subject) -> float:
         if subject is None:

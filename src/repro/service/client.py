@@ -19,6 +19,7 @@ import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ServiceError
+from repro.planning.plan import Plan
 from repro.service.protocol import (
     DEFAULT_PORT,
     MAX_HEADER_BYTES,
@@ -30,28 +31,17 @@ from repro.service.protocol import (
 
 Rules = Sequence[Union[str, Tuple[str, bool], List]]
 
-#: ``plan=`` argument accepted by the scan ops: ``None`` (server legacy
-#: defaults), ``"auto"`` (server-side §3.10 cost model), ``"off"``, or a
-#: plan dict (``Plan.to_dict()`` shape).
-PlanField = Union[None, str, Dict[str, Any]]
+#: ``plan=`` argument of the scan ops: ``"auto"`` (the server's §3.10
+#: cost model), a :class:`~repro.planning.plan.Plan`, or its dict form.
+PlanField = Union[str, Plan, Dict[str, Any]]
 
 
-def _knob_fields(
-    header: Dict[str, Any],
-    chunks: Optional[int],
-    kernel: Optional[str],
-    plan: PlanField,
-) -> Dict[str, Any]:
-    """Attach only the explicitly-chosen strategy fields.
-
-    Absent knobs are *omitted* (not defaulted) so the server can tell
-    "caller chose 1 chunk" from "caller left it to the plan".
-    """
-    if chunks is not None:
-        header["chunks"] = chunks
-    if kernel is not None:
-        header["kernel"] = kernel
-    if plan is not None:
+def _with_plan(header: Dict[str, Any], plan: PlanField) -> Dict[str, Any]:
+    """Attach ``plan`` in its wire shape (omitted for ``"auto"``, which a
+    request without ``plan`` means)."""
+    if isinstance(plan, Plan):
+        plan = plan.to_dict()
+    if plan != "auto":
         header["plan"] = plan
     return header
 
@@ -177,8 +167,8 @@ class ServiceClient:
         """Hot-reload the server's named rulesets from their files.
 
         Returns ``{"version": v, "rulesets": {name: {...}}}``; in
-        pre-fork mode the reply arrives only after the new version has
-        propagated to the worker answering this connection.
+        pre-fork mode the reply arrives only after every worker has the
+        new version.
         """
         return self.request({"op": "reload"})
 
@@ -189,13 +179,12 @@ class ServiceClient:
         rules: Optional[Rules] = None,
         ignore_case: bool = False,
         stages: Sequence[str] = ("sfa",),
-        kernel: str = "python",
         mode: str = "search",
         backend: Optional[str] = None,
     ) -> Dict[str, Any]:
         header: Dict[str, Any] = {
             "op": "compile", "ignore_case": ignore_case,
-            "stages": list(stages), "kernel": kernel,
+            "stages": list(stages),
         }
         if rules is not None:
             header["rules"] = [
@@ -243,42 +232,16 @@ class ServiceClient:
         *,
         mode: str = "fullmatch",
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanField = None,
+        plan: PlanField = "auto",
     ) -> bool:
-        return bool(self.request(
-            _knob_fields(
-                {
-                    "op": "match", "pattern": pattern, "mode": mode,
-                    "ignore_case": ignore_case,
-                },
-                chunks, kernel, plan,
-            ),
-            data,
-        )["match"])
-
-    def scan(
-        self,
-        pattern: str,
-        data: bytes,
-        *,
-        mode: str = "contains",
-        ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanField = None,
-    ) -> bool:
-        return bool(self.request(
-            _knob_fields(
-                {
-                    "op": "scan", "pattern": pattern, "mode": mode,
-                    "ignore_case": ignore_case,
-                },
-                chunks, kernel, plan,
-            ),
-            data,
-        )["match"])
+        """Server-side ``fullmatch`` (or ``contains`` with
+        ``mode="contains"``); a chunked ``plan`` runs on the server's own
+        executor."""
+        header = {
+            "op": "match", "pattern": pattern, "mode": mode,
+            "ignore_case": ignore_case,
+        }
+        return bool(self.request(_with_plan(header, plan), data)["match"])
 
     def finditer(
         self,
@@ -286,17 +249,12 @@ class ServiceClient:
         data: bytes,
         *,
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanField = None,
+        plan: PlanField = "auto",
         limit: Optional[int] = None,
     ) -> List[Tuple[int, int]]:
-        header = _knob_fields(
-            {
-                "op": "finditer", "pattern": pattern,
-                "ignore_case": ignore_case,
-            },
-            chunks, kernel, plan,
+        header = _with_plan(
+            {"op": "finditer", "pattern": pattern, "ignore_case": ignore_case},
+            plan,
         )
         if limit is not None:
             header["limit"] = limit
@@ -311,9 +269,7 @@ class ServiceClient:
         ruleset: Optional[str] = None,
         mode: str = "search",
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanField = None,
+        plan: PlanField = "auto",
         backend: Optional[str] = None,
     ) -> List[int]:
         """Matched rule indices — from inline ``rules`` or a server-side
@@ -335,10 +291,7 @@ class ServiceClient:
             )
         if backend is not None:
             header["backend"] = backend
-        reply = self.request(
-            _knob_fields(header, chunks, kernel, plan),
-            data,
-        )
+        reply = self.request(_with_plan(header, plan), data)
         return [int(r) for r in reply["rules"]]
 
     def open_stream(
@@ -349,19 +302,15 @@ class ServiceClient:
         kind: Optional[str] = None,
         ignore_case: bool = False,
         mode: str = "search",
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanField = None,
+        plan: PlanField = "auto",
         backend: Optional[str] = None,
     ) -> "ClientStream":
         """Open a stateful stream session; see :class:`ClientStream`."""
         if kind is None:
             kind = "spans" if pattern is not None else "multi"
-        header = _knob_fields(
-            {
-                "op": "stream_open", "kind": kind, "ignore_case": ignore_case,
-            },
-            chunks, kernel, plan,
+        header = _with_plan(
+            {"op": "stream_open", "kind": kind, "ignore_case": ignore_case},
+            plan,
         )
         if pattern is not None:
             header["pattern"] = pattern

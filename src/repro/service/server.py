@@ -2,17 +2,19 @@
 
 One long-lived process owns the compiled-artifact cache
 (:class:`~repro.service.cache.ArtifactCache`) and one warm chunk executor,
-and serves ``compile`` / ``analyze`` / ``match`` / ``scan`` /
-``finditer`` / ``multiscan`` requests plus stateful ``stream`` sessions
-over TCP.  ``analyze`` runs the §3.9 static analysis (nothing compiled,
-nothing scanned) and ``compile`` replies carry a compact ``analysis``
-summary next to the stage sizes, so a client learns about blowup risk
-and prefilter plans from the op it already calls.  The
+and serves ``compile`` / ``analyze`` / ``match`` / ``finditer`` /
+``multiscan`` requests plus stateful ``stream`` sessions over TCP.  A
+scan request says how to run with one ``plan`` field (``"auto"`` when
+absent, or a plan object); the server swaps in its own executor, so only
+it sizes its pools.  ``analyze`` runs the §3.9 static analysis (nothing
+compiled, nothing scanned) and ``compile`` replies carry a compact
+``analysis`` summary next to the stage sizes, so a client learns about
+blowup risk and prefilter plans from the op it already calls.  The
 asyncio loop moves bytes, dispatches, and runs the one cheap case itself:
 a ``match``/``finditer``/``multiscan`` hit whose automata are built and
 whose payload is at most :data:`INLINE_MAX_BYTES`.  Every other engine
-call — misses, ``compile``, ``scan``, streams, large payloads — runs on a
-bounded thread pool (NumPy kernels release the GIL, and the process
+call — misses, ``compile``, chunked plans, streams, large payloads — runs
+on a bounded thread pool (NumPy kernels release the GIL, and the process
 executor's chunk scans run on worker processes), so slow compiles and
 scans never stall other connections' cache hits.
 
@@ -36,11 +38,17 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.automata.lazy import NotMaterialized, materialized_only
-from repro.errors import RegexSyntaxError, ReproError, ServiceError
-from repro.planning.plan import Plan, resolve_plan
+from repro.errors import (
+    MatchEngineError,
+    RegexSyntaxError,
+    ReproError,
+    ServiceError,
+)
+from repro.planning.plan import AUTO, Plan, resolve_plan
 from repro.service.cache import ArtifactCache, scans_built
 from repro.service.metrics import MetricsBoard, ServiceMetrics
 from repro.service.protocol import (
@@ -179,9 +187,10 @@ class MatchService:
         LRU capacity of the compiled-artifact cache, in entries.
     executor:
         ``"threads"``/``"processes"`` to build one warm shared chunk
-        executor for the server's lifetime (``None``: chunked requests use
-        the in-process lockstep path).  The pool is created at
-        :meth:`start` and drained at :meth:`stop`.
+        executor for the server's lifetime (``None``: chunked plans scan
+        in-process).  The pool is created at :meth:`start` and drained at
+        :meth:`stop`; it replaces whatever executor a request's plan
+        names.
     num_workers:
         Pool size for the shared executor (default: CPU count).
     max_payload:
@@ -734,37 +743,51 @@ class MatchService:
             )
         return backend
 
-    def _knobs(
-        self, header: Dict[str, Any]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """Explicitly-sent legacy knobs (``None`` when the field is absent,
-        so a request-level plan keeps deciding them)."""
-        chunks = header.get("chunks")
-        kernel = header.get("kernel")
-        if chunks is not None and (not isinstance(chunks, int) or chunks < 1):
+    @staticmethod
+    def _plan_arg(header: Dict[str, Any]):
+        """The request's ``plan`` field: ``"auto"`` (also when absent) or
+        a plan object (a :meth:`~repro.planning.plan.Plan.to_dict` dump),
+        returned as a :class:`Plan`; anything else is a ``bad-request``."""
+        plan = header.get("plan", AUTO)
+        if isinstance(plan, dict):
+            try:
+                return Plan.from_dict(plan)
+            except MatchEngineError as e:
+                raise ServiceError(str(e), kind="bad-request") from None
+        if plan != AUTO:
             raise ServiceError(
-                f"'chunks' must be a positive int, got {chunks!r}",
+                f"'plan' must be 'auto' or a plan object, got {plan!r}",
                 kind="bad-request",
             )
-        if kernel is not None and not isinstance(kernel, str):
-            raise ServiceError(
-                f"'kernel' must be a string, got {kernel!r}", kind="bad-request"
-            )
-        return chunks, kernel
+        return plan
 
-    def _plan_arg(self, header: Dict[str, Any]):
-        """The request's ``plan`` field: ``"auto"``, a plan object (a
-        :meth:`~repro.planning.plan.Plan.to_dict` dump), or ``None`` /
-        ``"off"`` for the op's legacy defaults."""
-        plan = header.get("plan")
-        if plan in (None, "off", False):
-            return None
-        if plan == "auto" or isinstance(plan, dict):
-            return plan
-        raise ServiceError(
-            f"'plan' must be 'auto', 'off' or a plan object, got {plan!r}",
-            kind="bad-request",
+    def _plan_of(
+        self, header: Dict[str, Any], task: str, n: int, subject
+    ) -> Plan:
+        """The resolved plan a scan request runs under.
+
+        Its executor and pool size are replaced with the server's own for
+        a plan that dispatches chunks (``num_chunks > 1`` on a
+        multi-pattern scan, or on an acceptance scan by the ``sfa``/
+        ``speculative`` engine), and with none otherwise (the scan runs
+        in-process), so a request never builds a pool inside the server
+        and the reply's summary names the executor that ran.
+        """
+        p = resolve_plan(self._plan_arg(header), task, n, subject=subject)
+        dispatches = p.num_chunks > 1 and (
+            task == "multi"
+            or (task != "spans" and p.engine in ("sfa", "speculative"))
         )
+        ex = self.executor_name if dispatches else None
+        workers = self.num_workers if ex is not None else None
+        if (p.executor, p.num_workers) != (ex, workers):
+            p = replace(p, executor=ex, num_workers=workers)
+        return p
+
+    def _pool(self, plan: Plan):
+        """The server's executor if ``plan`` (from :meth:`_plan_of`) runs
+        on it, else ``None``."""
+        return self._executor if plan.executor is not None else None
 
     def _note_plan(self, plan: Plan) -> str:
         """Count one scan under ``plan`` and return its reply summary.
@@ -881,7 +904,8 @@ class MatchService:
     async def _wait_version_above(
         self, floor: int, timeout: float = RELOAD_PROPAGATION_TIMEOUT
     ) -> int:
-        """Block until this worker's ruleset version exceeds ``floor``."""
+        """Block until this worker's ruleset version exceeds ``floor``,
+        then until every live worker on the board has reached it."""
         deadline = time.monotonic() + timeout
         while self.ruleset_version <= floor:
             remaining = deadline - time.monotonic()
@@ -901,7 +925,19 @@ class MatchService:
                 await asyncio.wait_for(event.wait(), timeout=remaining)
             except asyncio.TimeoutError:
                 continue
-        return self.ruleset_version
+        version = self.ruleset_version
+        while self.board is not None:
+            oldest = self.board.aggregate()["ruleset_version"]
+            if oldest >= version:
+                break
+            if time.monotonic() >= deadline:
+                raise ServiceError(
+                    f"reload did not reach every worker within "
+                    f"{timeout:.0f}s (oldest at version {oldest})",
+                    kind="engine",
+                )
+            await asyncio.sleep(0.01)
+        return version
 
     async def _op_reload(self, header, payload, streams, next_stream):
         if not self.ruleset_paths:
@@ -914,7 +950,7 @@ class MatchService:
         if self._on_reload_request is not None:
             # Pre-fork mode: the master owns the version counter and
             # broadcasts the reload to every worker; wait for the new
-            # version to land on this one before replying.
+            # version to land on all of them before replying.
             self._on_reload_request()
             version = await self._wait_version_above(floor)
         else:
@@ -932,7 +968,6 @@ class MatchService:
         stages = header.get("stages", ["sfa"])
         if not isinstance(stages, list):
             raise ServiceError("'stages' must be a list", kind="bad-request")
-        _, kernel = self._knobs(header)
         backend = None
         if "rules" in header:
             value, hit = await self._in_thread(lambda: self._ruleset_of(header))
@@ -955,16 +990,17 @@ class MatchService:
                 sizes["d_sfa"] = value.sfa.num_states
             analysis = await self._in_thread(lambda: _pattern_analysis(value))
             task = "fullmatch"
-        built = await self._in_thread(
-            lambda: self.cache.warm(value, stages, kernel or "python")
-        )
-        # What the planner would now run for a nominal 1 MiB scan of this
-        # (warmed) artifact — the §3.10 counterpart of the analysis block.
-        plan = await self._in_thread(
-            lambda: resolve_plan(
-                self._plan_arg(header) or "auto", task, 1 << 20, subject=value
-            )
-        )
+
+        def warm():
+            # The plan a nominal 1 MiB scan of the warmed artifact would
+            # run (the §3.10 counterpart of the analysis block); its stride
+            # table is built too, so that scan starts warm.
+            built = self.cache.warm(value, stages)
+            plan = self._plan_of(header, task, 1 << 20, value)
+            more = self.cache.warm(value, stages, plan.kernel)
+            return sorted(set(built) | set(more)), plan
+
+        built, plan = await self._in_thread(warm)
         reply = {
             "ok": True, "cached": hit, "built": built, "sizes": sizes,
             "analysis": analysis, "plan": plan.to_dict(),
@@ -1011,75 +1047,28 @@ class MatchService:
         mode = header.get("mode", "fullmatch")
         if mode not in ("fullmatch", "contains"):
             raise ServiceError(f"unknown mode {mode!r}", kind="bad-request")
-        chunks, kernel = self._knobs(header)
-        plan = self._plan_arg(header)
-        task = "fullmatch" if mode == "fullmatch" else "contains"
 
         def resolve(m):
-            if plan is None:
-                c = 1 if chunks is None else chunks
-                return resolve_plan(
-                    None, task, len(data), subject=m,
-                    engine="lockstep" if c > 1 else "dfa",
-                    num_chunks=c, kernel=kernel or "python",
-                )
-            return resolve_plan(
-                plan, task, len(data), subject=m,
-                num_chunks=chunks, kernel=kernel,
-            )
+            # contains is costed against the automaton it scans, as in
+            # the library
+            subject = m if mode == "fullmatch" else m.search_pattern()
+            return self._plan_of(header, mode, len(data), subject)
 
         def scan(m, hit, p):
             fn = m.fullmatch if mode == "fullmatch" else m.contains
-            matched = fn(data, plan=p)
+            matched = fn(data, plan=p, executor=self._pool(p))
             return {
                 "ok": True, "match": bool(matched), "cached": hit,
                 "plan": self._note_plan(p),
             }
 
         return await self._run_scan(
-            task, data, lambda: self._peek_pattern(header),
+            mode, data, lambda: self._peek_pattern(header),
             lambda: self._pattern_of(header), resolve, scan,
         )
 
-    async def _op_scan(self, header, payload, streams, next_stream):
-        """Chunk-parallel containment scan through the shared executor."""
-        data = self._need_payload(payload)
-        mode = header.get("mode", "contains")
-        if mode not in ("fullmatch", "contains"):
-            raise ServiceError(f"unknown mode {mode!r}", kind="bad-request")
-        chunks, kernel = self._knobs(header)
-        plan = self._plan_arg(header)
-        task = "fullmatch" if mode == "fullmatch" else "contains"
-
-        def work():
-            m, hit = self._pattern_of(header)
-            if plan is None:
-                c = max(2, 1 if chunks is None else chunks)
-                p = resolve_plan(
-                    None, task, len(data), subject=m, engine="sfa",
-                    num_chunks=c, executor=self._executor,
-                    kernel=kernel or "python",
-                )
-            else:
-                p = resolve_plan(
-                    plan, task, len(data), subject=m,
-                    num_chunks=chunks, executor=self._executor,
-                    kernel=kernel,
-                )
-            fn = m.fullmatch if mode == "fullmatch" else m.contains
-            matched = fn(data, plan=p, executor=self._executor)
-            return {
-                "ok": True, "match": bool(matched), "cached": hit,
-                "chunks": p.num_chunks,
-                "executor": self.executor_name or "lockstep",
-                "plan": self._note_plan(p),
-            }
-
-        return await self._in_thread(work)
-
     async def _op_finditer(self, header, payload, streams, next_stream):
         data = self._need_payload(payload)
-        chunks, kernel = self._knobs(header)
         limit = header.get("limit")
         if limit is not None and (
             isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
@@ -1089,24 +1078,8 @@ class MatchService:
                 kind="bad-request",
             )
 
-        plan = self._plan_arg(header)
-
-        def resolve(m):
-            if plan is None:
-                return resolve_plan(
-                    None, "spans", len(data), subject=m,
-                    num_chunks=1 if chunks is None else chunks,
-                    executor=self._executor, kernel=kernel or "python",
-                )
-            return resolve_plan(
-                plan, "spans", len(data), subject=m,
-                num_chunks=chunks, executor=self._executor, kernel=kernel,
-            )
-
         def scan(m, hit, p):
-            spans = m.span_engine().spans(
-                data, plan=p, executor=self._executor, limit=limit,
-            )
+            spans = m.span_engine().spans(data, plan=p, limit=limit)
             return {
                 "ok": True, "spans": [[s, e] for s, e in spans], "cached": hit,
                 "plan": self._note_plan(p),
@@ -1114,30 +1087,15 @@ class MatchService:
 
         return await self._run_scan(
             "spans", data, lambda: self._peek_pattern(header),
-            lambda: self._pattern_of(header), resolve, scan,
+            lambda: self._pattern_of(header),
+            lambda m: self._plan_of(header, "spans", len(data), m), scan,
         )
 
     async def _op_multiscan(self, header, payload, streams, next_stream):
         data = self._need_payload(payload)
-        chunks, kernel = self._knobs(header)
-
-        plan = self._plan_arg(header)
-
-        def resolve(mps):
-            if plan is None:
-                return resolve_plan(
-                    None, "multi", len(data), subject=mps,
-                    defaults=Plan(engine="lockstep"),
-                    num_chunks=1 if chunks is None else chunks,
-                    executor=self._executor, kernel=kernel or "python",
-                )
-            return resolve_plan(
-                plan, "multi", len(data), subject=mps,
-                num_chunks=chunks, executor=self._executor, kernel=kernel,
-            )
 
         def scan(mps, hit, p):
-            hits = mps.matches(data, plan=p, executor=self._executor)
+            hits = mps.matches(data, plan=p, executor=self._pool(p))
             out = {
                 "ok": True,
                 "rules": sorted(int(r) for r in hits),
@@ -1153,7 +1111,8 @@ class MatchService:
 
         return await self._run_scan(
             "multi", data, lambda: self._peek_ruleset(header),
-            lambda: self._ruleset_of(header), resolve, scan,
+            lambda: self._ruleset_of(header),
+            lambda mps: self._plan_of(header, "multi", len(data), mps), scan,
         )
 
     async def _op_stream_open(self, header, payload, streams, next_stream):
@@ -1169,26 +1128,19 @@ class MatchService:
                 kind="limit",
             )
         kind = header.get("kind", "spans")
-        chunks, kernel = self._knobs(header)
-        plan = self._plan_arg(header)
+        plan = self._plan_arg(header)  # cursors scan in-process
 
         def work():
             if kind == "spans":
                 m, _ = self._pattern_of(header)
                 return _StreamSession(kind, StreamingSpanMatcher(m, plan=plan))
-            if kind == "multi":
+            if kind in ("multi", "multispans"):
                 mps, _ = self._ruleset_of(header)
-                return _StreamSession(
-                    kind,
-                    StreamingMultiMatcher(
-                        mps, num_chunks=chunks, kernel=kernel, plan=plan
-                    ),
+                cursor = (
+                    StreamingMultiMatcher if kind == "multi"
+                    else StreamingMultiSpanMatcher
                 )
-            if kind == "multispans":
-                mps, _ = self._ruleset_of(header)
-                return _StreamSession(
-                    kind, StreamingMultiSpanMatcher(mps, plan=plan)
-                )
+                return _StreamSession(kind, cursor(mps, plan=plan))
             raise ServiceError(
                 f"unknown stream kind {kind!r} "
                 "(choose from spans, multi, multispans)",
@@ -1242,7 +1194,6 @@ class MatchService:
         "compile": _op_compile,
         "analyze": _op_analyze,
         "match": _op_match,
-        "scan": _op_scan,
         "finditer": _op_finditer,
         "multiscan": _op_multiscan,
         "stream_open": _op_stream_open,

@@ -28,6 +28,7 @@ from repro.analysis import (
 from repro.cli import main as cli_main
 from repro.errors import RegexSyntaxError
 from repro.matching.multi import MultiPatternSet
+from repro.planning.plan import Plan
 from tests.test_find_differential import (
     ZOO,
     lml_spans,
@@ -242,7 +243,7 @@ class TestPrefilterDifferential:
         eng = m.span_engine()
         assert eng.prefilter is not None, pattern
         on = list(m.finditer(text))
-        off = list(m.finditer(text, prefilter=False))
+        off = list(m.finditer(text, plan=Plan(prefilter=False)))
         assert on == off, (pattern, text)
         rx = re.compile(pattern.encode("latin-1"))
         assert on == lml_spans(rx, text), (pattern, text)
@@ -250,7 +251,7 @@ class TestPrefilterDifferential:
     @pytest.mark.parametrize("pattern,text", ZOO)
     def test_zoo_unchanged_by_prefilter_knob(self, pattern, text):
         m = compile_pattern(pattern)
-        assert list(m.finditer(text)) == list(m.finditer(text, prefilter=False))
+        assert list(m.finditer(text)) == list(m.finditer(text, plan=Plan(prefilter=False)))
 
     def test_random_sweep_prefilter_bit_identical(self):
         rng = random.Random(0x9F17)
@@ -268,7 +269,7 @@ class TestPrefilterDifferential:
                     # plant the wrapper literals so candidate windows fire
                     text = text + b"ERj" + text + b"qv" + text
                 assert (list(m.finditer(text))
-                        == list(m.finditer(text, prefilter=False))), \
+                        == list(m.finditer(text, plan=Plan(prefilter=False)))), \
                     (pattern, text)
         assert engaged > 30
 
@@ -280,7 +281,7 @@ class TestPrefilterDifferential:
         assert plan.min_start < plan.max_start  # genuinely windowed
         text = b"x GET /api/ POST /api/ GET/api/ T /api/"
         assert (list(m.finditer(text))
-                == list(m.finditer(text, prefilter=False)))
+                == list(m.finditer(text, plan=Plan(prefilter=False))))
 
 
 # ---------------------------------------------------------------------------

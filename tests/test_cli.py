@@ -170,42 +170,6 @@ class TestGrep:
         assert code == 1  # no lines, so no matching lines — like grep
         assert out == ""
 
-    def test_parallel_threshold_default(self):
-        from repro.cli import GREP_EXECUTOR_MIN_BYTES, build_parser
-
-        args = build_parser().parse_args(["grep", "x", "-"])
-        assert args.parallel_threshold == GREP_EXECUTOR_MIN_BYTES
-
-    def test_parallel_threshold_engages_chunked_scan(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from repro.matching.spans import SpanEngine
-
-        small = tmp_path / "small.txt"
-        small.write_bytes(b"short ERROR 1\n")
-        big = tmp_path / "big.txt"
-        big.write_bytes(b"x" * 64 + b" ERROR 2\n")
-        engaged = []
-        real = SpanEngine.spans
-
-        def spy(self, data, **kw):
-            engaged.append(
-                (len(data), kw.get("executor") is not None,
-                 kw.get("num_chunks"))
-            )
-            return real(self, data, **kw)
-
-        monkeypatch.setattr(SpanEngine, "spans", spy)
-        code, out, _ = run(capsys, "grep", "ERROR [0-9]+",
-                           str(big), str(small),
-                           "--executor", "threads", "--chunks", "4",
-                           "--parallel-threshold", "32")
-        assert code == 0
-        assert "ERROR 1" in out and "ERROR 2" in out
-        # only the >= 32-byte file engaged the chunked/executor path
-        assert (14, False, 1) in engaged
-        assert any(n >= 32 and used and p == 4 for n, used, p in engaged)
-
 
 class TestGrepMultiFile:
     def _tree(self, tmp_path):
@@ -305,17 +269,15 @@ class TestGrepMultiFile:
         assert code == 1
         assert out == ""
 
-    def test_chunked_executor_kernel_output_invariant(self, capsys, tmp_path):
+    def test_no_prefilter_output_invariant(self, capsys, tmp_path):
         root = self._tree(tmp_path)
-        code, serial_out, _ = run(capsys, "grep", "ERROR [0-9]+", str(root))
-        assert code == 0
-        for executor in ("threads", "processes"):
-            code, out, _ = run(capsys, "grep", "ERROR [0-9]+", str(root),
-                               "--chunks", "4", "--executor", executor,
-                               "--workers", "2", "--kernel", "stride4",
-                               "--parallel-threshold", "0")
-            assert code == 0, executor
-            assert out == serial_out, executor
+        for pattern in ("ERROR [0-9]+", "[0-9]+ [a-z]+"):
+            code, out, _ = run(capsys, "grep", "-n", pattern, str(root))
+            assert code == 0, pattern
+            code, off, _ = run(capsys, "grep", "-n", pattern, str(root),
+                               "--no-prefilter")
+            assert code == 0, pattern
+            assert off == out, pattern
 
 
 class TestGrepNonRegularFiles:
@@ -771,8 +733,8 @@ class TestServeClientCLI:
         f = tmp_path / "in.bin"
         f.write_bytes(b"xx ERROR 42 yy ERROR 7")
         code, out, _ = self.client(
-            capsys, service_port, "scan", "ERROR [0-9]+", str(f),
-            "--chunks", "4", "--kernel", "stride2",
+            capsys, service_port, "match", "--contains", "ERROR [0-9]+",
+            str(f), "--engine", "sfa", "--chunks", "4", "--kernel", "stride2",
         )
         assert code == 0 and out == "match\n"
         code, out, _ = self.client(

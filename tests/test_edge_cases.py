@@ -9,6 +9,7 @@ from repro.automata import correspondence_construction, glushkov_nfa, minimize, 
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.speculative import speculative_run
+from repro.planning.plan import Plan
 from repro.regex.parser import parse
 
 from .conftest import compiled
@@ -26,7 +27,7 @@ class TestDegenerateLanguages:
         assert not m.fullmatch(b"")
         assert not m.fullmatch(b"a")
         # its SFA still works in parallel
-        assert not m.fullmatch(b"xyz", engine="sfa", num_chunks=3)
+        assert not m.fullmatch(b"xyz", plan=Plan(engine="sfa", num_chunks=3))
 
     def test_epsilon_only_language(self):
         m = compiled("()")
@@ -48,18 +49,18 @@ class TestBoundarySizes:
     def test_one_char_input_all_engines(self):
         m = compiled("a")
         for engine in ("dfa", "speculative", "sfa", "lockstep"):
-            assert m.fullmatch(b"a", engine=engine, num_chunks=1)
-            assert not m.fullmatch(b"b", engine=engine, num_chunks=1)
+            assert m.fullmatch(b"a", plan=Plan(engine=engine, num_chunks=1))
+            assert not m.fullmatch(b"b", plan=Plan(engine=engine, num_chunks=1))
 
     def test_empty_input_all_engines(self):
         m = compiled("a*")
         for engine in ("dfa", "speculative", "sfa", "lockstep"):
-            assert m.fullmatch(b"", engine=engine, num_chunks=4)
+            assert m.fullmatch(b"", plan=Plan(engine=engine, num_chunks=4))
 
     def test_chunks_equal_length(self):
         m = compiled("(ab)*")
         w = b"ab" * 4
-        assert m.fullmatch(w, engine="lockstep", num_chunks=8)
+        assert m.fullmatch(w, plan=Plan(engine="lockstep", num_chunks=8))
 
     def test_single_chunk_parallel_run(self):
         m = compiled("(ab)*")

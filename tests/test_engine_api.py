@@ -10,6 +10,7 @@ from repro import (
     UnsupportedFeatureError,
     compile_pattern,
 )
+from repro.planning.plan import Plan
 from repro.theory.complexity import complexity_report, table2_rows
 
 
@@ -70,9 +71,9 @@ class TestContains:
         m = compile_pattern("ab{2,3}a")
         texts = [b"xxxabba___", b"abbba", b"", b"abba", b"aba", b"ab" * 30]
         for t in texts:
-            ref = m.contains(t, engine="dfa", num_chunks=1)
-            assert m.contains(t, engine="lockstep", num_chunks=4) == ref
-            assert m.contains(t, engine="sfa", num_chunks=3) == ref
+            ref = m.contains(t, plan=Plan(engine="dfa", num_chunks=1))
+            assert m.contains(t, plan=Plan(engine="lockstep", num_chunks=4)) == ref
+            assert m.contains(t, plan=Plan(engine="sfa", num_chunks=3)) == ref
 
     def test_search_pattern_cached_and_idempotent(self):
         m = compile_pattern("abc")

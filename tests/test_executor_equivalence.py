@@ -18,6 +18,7 @@ from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.speculative import speculative_run
 from repro.parallel.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.planning.plan import Plan
 
 from .conftest import compiled
 
@@ -87,23 +88,28 @@ def test_speculative_run_identical_across_executors(
 def test_engine_api_executor_knob(process_ex, data, p):
     """`fullmatch(executor=...)` agrees with the plain serial path."""
     m = compiled("(a|b)*abb")
-    expect = m.fullmatch(data, engine="sfa", num_chunks=p)
-    assert m.fullmatch(data, engine="sfa", num_chunks=p, executor=process_ex) == expect
+    expect = m.fullmatch(data, plan=Plan(engine="sfa", num_chunks=p))
+    assert m.fullmatch(
+        data, executor=process_ex, plan=Plan(engine="sfa", num_chunks=p)
+    ) == expect
     assert (
-        m.fullmatch(data, engine="speculative", num_chunks=p, executor=process_ex)
+        m.fullmatch(
+            data, executor=process_ex,
+            plan=Plan(engine="speculative", num_chunks=p),
+        )
         == expect
     )
 
 
 def test_fullmatch_accepts_backend_names():
-    """String executors resolve through the shared warm-pool registry."""
+    """Executor names in a plan resolve through the shared warm-pool
+    registry."""
     m = compiled("(ab)*")
     data = b"ab" * 50
     for name in ("serial", "threads", "processes"):
-        assert m.fullmatch(data, engine="sfa", num_chunks=4,
-                           executor=name, num_workers=2)
-        assert not m.fullmatch(data + b"x", engine="sfa", num_chunks=4,
-                               executor=name, num_workers=2)
+        plan = Plan(engine="sfa", num_chunks=4, executor=name, num_workers=2)
+        assert m.fullmatch(data, plan=plan)
+        assert not m.fullmatch(data + b"x", plan=plan)
 
 
 def test_nsfa_run_identical_across_executors(process_ex):

@@ -30,6 +30,7 @@ import pytest
 
 from repro import compile_pattern
 from repro.matching.stream import StreamingSpanMatcher
+from repro.planning.plan import Plan
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -168,10 +169,10 @@ class TestDifferentialRandom:
             p = rng.choice([2, 3, 5, 8, len(text) + 3])
             kernel = rng.choice(["python", "stride2", "stride4", "vector"])
             executor = rng.choice([None, "threads"])
-            got = list(m.finditer(
-                text, num_chunks=p, executor=executor, num_workers=2,
+            got = list(m.finditer(text, plan=Plan(
+                num_chunks=p, executor=executor, num_workers=2,
                 kernel=kernel,
-            ))
+            )))
             assert got == base, (pattern, text, p, kernel, executor)
 
 
@@ -211,7 +212,7 @@ class TestDifferentialMatrix:
         base = list(m.finditer(text))
         for p in (2, 3, 7, len(text) + 5):  # includes p > n
             for kernel in ("python", "stride2", "stride4", "vector"):
-                got = list(m.finditer(text, num_chunks=p, kernel=kernel))
+                got = list(m.finditer(text, plan=Plan(num_chunks=p, kernel=kernel)))
                 assert got == base, (pattern, p, kernel)
 
     @pytest.mark.parametrize("pattern,text", ZOO)
@@ -238,8 +239,8 @@ class TestDifferentialMatrix:
         assert len(base) == 6
         for executor in ("serial", "threads", "processes"):
             for kernel in ("python", "stride4", "vector"):
-                got = list(m.finditer(
-                    text, num_chunks=4, executor=executor, num_workers=2,
+                got = list(m.finditer(text, plan=Plan(
+                    num_chunks=4, executor=executor, num_workers=2,
                     kernel=kernel,
-                ))
+                )))
                 assert got == base, (executor, kernel)

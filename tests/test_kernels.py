@@ -28,6 +28,7 @@ from repro.parallel.scan import (
     transform_scan,
     transform_scan_vector,
 )
+from repro.planning.plan import Plan
 from repro.regex.charclass import pack_stride
 
 from .conftest import compiled
@@ -211,7 +212,7 @@ class TestKernelEdgeCases:
         m = compiled("a*b+a?")
         word = b"a" * (length - 1) + b"b"
         classes = m.translate(word)
-        expected = m.fullmatch(word)
+        expected = m.fullmatch(word, plan=Plan())
         res = parallel_sfa_run(m.sfa, classes, 50, kernel=kernel)
         assert res.accepted == expected
         assert res.num_chunks <= max(1, len(classes))
@@ -226,7 +227,7 @@ class TestKernelEdgeCases:
         for w in (word, word + b"b" * tail):
             classes = m.translate(w)
             res = parallel_sfa_run(m.sfa, classes, 3, kernel=kernel)
-            assert res.accepted == m.fullmatch(w)
+            assert res.accepted == m.fullmatch(w, plan=Plan())
 
     def test_unknown_kernel_rejected(self):
         m = compiled("(ab)*")
@@ -238,16 +239,16 @@ class TestKernelEdgeCases:
         with pytest.raises(MatchEngineError):
             lockstep_run(m.sfa, classes, 2, kernel="simd")
         with pytest.raises(MatchEngineError):
-            StreamMatcher(m.sfa, kernel="simd")
+            StreamMatcher(m.sfa, plan=Plan(kernel="simd"))
 
     def test_engine_api_kernel_knob(self):
         m = compiled("(a|b)*abb")
         for data in (b"", b"abb", b"ab" * 40 + b"b"):
-            expected = m.fullmatch(data)
+            expected = m.fullmatch(data, plan=Plan())
             for kernel in KERNELS:
                 for engine in ("speculative", "sfa", "lockstep"):
                     assert (
-                        m.fullmatch(data, engine=engine, num_chunks=3, kernel=kernel)
+                        m.fullmatch(data, plan=Plan(engine=engine, num_chunks=3, kernel=kernel))
                         == expected
                     )
 
@@ -306,11 +307,11 @@ class TestClamping:
 @settings(max_examples=40, deadline=None)
 def test_stream_matchers_agree_with_fullmatch(data, cuts, pattern, kernel):
     m = compiled(pattern)
-    expected = m.fullmatch(data)
+    expected = m.fullmatch(data, plan=Plan())
     bounds = sorted({0, len(data), *[c % (len(data) + 1) for c in cuts]})
     blocks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-    cur = StreamMatcher(m.sfa, kernel=kernel)
-    par = ParallelStreamMatcher(m.sfa, num_chunks=3, kernel=kernel)
+    cur = StreamMatcher(m.sfa, plan=Plan(kernel=kernel))
+    par = ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=3, kernel=kernel))
     for block in blocks:
         cur.feed(block)
         par.feed(block)
@@ -324,7 +325,9 @@ class TestStreamZeroCopy:
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_feed_accepts_buffer_types(self, wrap):
         m = compiled("(ab)*")
-        for matcher in (StreamMatcher(m.sfa), ParallelStreamMatcher(m.sfa, 4)):
+        for matcher in (
+            StreamMatcher(m.sfa), ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=4))
+        ):
             matcher.feed(wrap(b"abab")).feed(wrap(b"")).feed(wrap(b"ab"))
             assert matcher.accepted()
             assert matcher.bytes_consumed == 6

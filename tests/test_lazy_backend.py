@@ -22,6 +22,7 @@ from repro.automata.serialize import load_ruleset, save_ruleset
 from repro.errors import AutomatonError, MatchEngineError, StateExplosionError
 from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import StreamingMultiMatcher
+from repro.planning.plan import Plan
 from repro.planning.planner import (
     AUTO_EAGER_POSITIONS,
     AUTO_SHARDED_POSITIONS,
@@ -83,14 +84,15 @@ class TestDifferential:
             for mps in others:
                 assert mps.matches(data) == ref, mps.backend
                 assert mps.matches_any(data) == bool(ref), mps.backend
-                # chunked blockings (Algorithm 5 shape) — the lazy and
-                # sharded backends fold chunks without materializing the
-                # union D-SFA (an eager-resolved "auto" would, which on a
-                # random union DFA is a minutes-long build: not a unit
-                # test's job; test_multi covers the eager chunked path)
+                # chunked plans (Algorithm 5 shape) — the lazy and sharded
+                # backends answer them without materializing the union
+                # D-SFA (an eager-resolved "auto" would, which on a random
+                # union DFA is a minutes-long build: not a unit test's
+                # job; test_multi covers the eager chunked path)
                 if mps.backend != "eager":
                     for p in (2, 5):
-                        assert mps.scan_chunked(data, p) == ref, mps.backend
+                        chunked = Plan(num_chunks=p)
+                        assert mps.matches(data, plan=chunked) == ref, mps.backend
                 # streaming blockings
                 if mode == "search":
                     for block in (777, 4_096):
@@ -218,8 +220,8 @@ class TestFreeze:
         assert lazy.backend == "eager"
         assert isinstance(lazy.num_materialized, int)
         for kernel in ("python", "stride2"):
-            assert lazy.matches(data, kernel=kernel) == ref
-        assert lazy.matches(data, 3) == ref  # chunked → via union D-SFA
+            assert lazy.matches(data, plan=Plan(kernel=kernel)) == ref
+        assert lazy.matches(data, plan=Plan(num_chunks=3)) == ref  # chunked → via union D-SFA
         assert lazy.matches_any(data) == bool(ref)
 
     def test_freeze_is_idempotent_and_sharded_freezes(self):

@@ -18,6 +18,7 @@ from repro.matching.lockstep import LockstepSFAMatcher, lockstep_run
 from repro.matching.parallel_sfa import ParallelSFAMatcher, parallel_sfa_run
 from repro.matching.sequential import SequentialDFAMatcher, SequentialSFAMatcher
 from repro.matching.speculative import SpeculativeDFAMatcher, speculative_run
+from repro.planning.plan import Plan
 
 from .conftest import compiled
 
@@ -37,10 +38,11 @@ class TestEngineAgreement:
     def test_all_engines_agree(self, pattern, num_chunks):
         m = compiled(pattern)
         for w in words_for(pattern):
-            expected = m.fullmatch(w, engine="dfa")
-            assert m.fullmatch(w, engine="speculative", num_chunks=num_chunks) == expected
-            assert m.fullmatch(w, engine="sfa", num_chunks=num_chunks) == expected
-            assert m.fullmatch(w, engine="lockstep", num_chunks=num_chunks) == expected
+            expected = m.fullmatch(w, plan=Plan(engine="dfa"))
+            spec = Plan(engine="speculative", num_chunks=num_chunks)
+            assert m.fullmatch(w, plan=spec) == expected
+            assert m.fullmatch(w, plan=Plan(engine="sfa", num_chunks=num_chunks)) == expected
+            assert m.fullmatch(w, plan=Plan(engine="lockstep", num_chunks=num_chunks)) == expected
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_sfa_sequential_matcher(self, pattern):
@@ -52,7 +54,7 @@ class TestEngineAgreement:
     def test_unknown_engine(self):
         m = compiled("(ab)*")
         with pytest.raises(MatchEngineError):
-            m.fullmatch(b"ab", engine="quantum")
+            m.fullmatch(b"ab", plan=Plan(engine="quantum"))
 
 
 class TestSplitInvariance:

@@ -7,6 +7,9 @@ import pytest
 from repro.errors import MatchEngineError, StateExplosionError
 from repro.matching.multi import MultiPatternSet
 from repro.parallel.scan import KERNELS
+from repro.planning.plan import Plan
+
+from .conftest import sfa_chunked
 
 
 RULES = ["abc", "a[0-9]+b", "(GET|POST) /x", "zz*top"]
@@ -71,32 +74,33 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("p", [2, 3, 5, 9])
     def test_parallel_matches_serial(self, mps, p):
         data = b"junk abc junk a987b junk zztop END" * 3
-        assert mps.matches(data, num_chunks=p) == mps.matches(data)
-        assert mps.scan_chunked(data, p) == mps.matches(data)
+        assert mps.matches(data, plan=Plan(num_chunks=p)) == mps.matches(data)
+        chunked = Plan(num_chunks=p, executor="serial")  # per-chunk dispatch
+        assert mps.matches(data, plan=chunked) == mps.matches(data)
 
     def test_matches_any_parallel(self, mps):
         data = b"x" * 100 + b"abc" + b"y" * 100
-        assert mps.matches_any(data, num_chunks=7)
+        assert mps.matches_any(data, plan=Plan(num_chunks=7))
 
     @pytest.mark.parametrize("p", [2, 5, 50])
     def test_more_chunks_than_symbols(self, mps, p):
         # p > n must clamp, not ship empty chunks (the PR 2 bug, here too)
         for data in (b"a", b"abc", b"zztop"):
-            assert mps.matches(data, num_chunks=p) == mps.matches(data)
-            assert mps.scan_chunked(data, p) == mps.matches(data)
-            assert mps.matches_any(data, num_chunks=p) == bool(mps.matches(data))
+            assert mps.matches(data, plan=Plan(num_chunks=p)) == mps.matches(data)
+            assert sfa_chunked(mps, data, p) == mps.matches(data)
+            assert mps.matches_any(data, plan=Plan(num_chunks=p)) == bool(mps.matches(data))
 
     @pytest.mark.parametrize("p", [1, 4, 16])
     def test_empty_input(self, mps, p):
-        assert mps.matches(b"", num_chunks=p) == set()
-        assert mps.scan_chunked(b"", p) == set()
-        assert not mps.matches_any(b"", num_chunks=p)
+        assert mps.matches(b"", plan=Plan(num_chunks=p)) == set()
+        assert sfa_chunked(mps, b"", p) == set()
+        assert not mps.matches_any(b"", plan=Plan(num_chunks=p))
 
     def test_empty_input_fullmatch_mode(self):
         mps = MultiPatternSet(["(ab)*", "a+"], mode="fullmatch")
         for p in (1, 4, 16):
-            assert mps.matches(b"", num_chunks=p) == {0}
-            assert mps.scan_chunked(b"", p) == {0}
+            assert mps.matches(b"", plan=Plan(num_chunks=p)) == {0}
+            assert sfa_chunked(mps, b"", p) == {0}
 
 
 class TestExecutorAndKernelKnobs:
@@ -106,53 +110,49 @@ class TestExecutorAndKernelKnobs:
     @pytest.mark.parametrize("p", [1, 3, 50])
     def test_kernels_agree(self, mps, kernel, p):
         ref = mps.matches(self.DATA)
-        assert mps.matches(self.DATA, num_chunks=p, kernel=kernel) == ref
-        assert mps.scan_chunked(self.DATA, p, kernel=kernel) == ref
+        assert mps.matches(self.DATA, plan=Plan(num_chunks=p, kernel=kernel)) == ref
+        assert sfa_chunked(mps, self.DATA, p, kernel) == ref
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_executors_agree(self, mps, executor):
-        ref = mps.matches(self.DATA)
-        got = mps.matches(
-            self.DATA, num_chunks=4, executor=executor, num_workers=2
-        )
+        ref = mps.matches(self.DATA, plan=Plan(engine="lockstep"))
+        plan = Plan(num_chunks=4, executor=executor, num_workers=2)
+        assert mps.matches(self.DATA, plan=plan) == ref
+        got = mps.matches(self.DATA, plan=Plan(
+            num_chunks=4, executor=executor, num_workers=2, kernel="stride2",
+        ))
         assert got == ref
-        got = mps.scan_chunked(
-            self.DATA, 4, executor=executor, num_workers=2, kernel="stride2"
-        )
-        assert got == ref
-        assert mps.matches_any(
-            self.DATA, num_chunks=4, executor=executor, num_workers=2
-        )
+        assert mps.matches_any(self.DATA, plan=plan)
 
     def test_executor_instance(self, mps):
         from repro.parallel.executor import ProcessExecutor
 
         with ProcessExecutor(2) as ex:
-            assert mps.matches(self.DATA, num_chunks=3, executor=ex) == \
+            assert mps.matches(self.DATA, executor=ex, plan=Plan(num_chunks=3)) == \
                 mps.matches(self.DATA)
 
     def test_unknown_kernel_rejected(self, mps):
         with pytest.raises(MatchEngineError):
-            mps.matches(b"abc", kernel="simd")
+            mps.matches(b"abc", plan=Plan(kernel="simd"))
         with pytest.raises(MatchEngineError):
-            mps.scan_chunked(b"abc", 2, kernel="simd")
+            sfa_chunked(mps, b"abc", 2, kernel="simd")
 
     def test_bad_chunk_count_rejected(self, mps):
         with pytest.raises(MatchEngineError):
-            mps.matches(b"abc", num_chunks=0)
+            mps.matches(b"abc", plan=Plan(num_chunks=0))
 
     def test_unknown_executor_name_rejected(self, mps):
         with pytest.raises(MatchEngineError):
-            mps.matches(b"abc", num_chunks=2, executor="gpu")
+            mps.matches(b"abc", plan=Plan(num_chunks=2, executor="gpu"))
         with pytest.raises(MatchEngineError):
-            mps.matches(b"a", executor="gpu")  # even when p clamps to 1
+            mps.matches(b"a", plan=Plan(executor="gpu"))  # even when p clamps to 1
 
     def test_non_executor_object_rejected_on_any_length(self, mps):
         # a misconfigured object must fail on short inputs too, not only
         # once the payload is long enough to skip the p==1 fast path
         for data in (b"", b"a", b"abc" * 10):
             with pytest.raises(MatchEngineError):
-                mps.matches(data, num_chunks=4, executor=object())
+                mps.matches(data, executor=object(), plan=Plan(num_chunks=4))
 
     def test_stride_budget_none_means_multi_default(self):
         from repro.matching.multi import DEFAULT_STRIDE_BUDGET
@@ -166,14 +166,14 @@ class TestExecutorAndKernelKnobs:
         # D-SFA must not be constructed as a side effect.
         mps = MultiPatternSet(RULES)
         assert mps.matches(b"xx abc yy") == {0}
-        assert mps.matches(b"a", num_chunks=50, executor="serial") == set()
-        assert mps.matches(b"zztop", kernel="stride4") == {3}
+        assert mps.matches(b"a", plan=Plan(num_chunks=50, executor="serial")) == set()
+        assert mps.matches(b"zztop", plan=Plan(kernel="stride4")) == {3}
         assert mps._sfa is None
 
     def test_stride_budget_reaches_chunked_scans(self, mps):
         data = b"junk abc junk zztop END" * 2
         ref = mps.matches(data)
-        assert mps.matches(data, num_chunks=3, kernel="stride2") == ref
+        assert mps.matches(data, plan=Plan(num_chunks=3, kernel="stride2")) == ref
         # the chunked path probes stride tables under the multi budget,
         # not the 4 MiB engine default
         assert (2, mps.stride_budget) in mps.sfa._stride_tables
@@ -255,7 +255,7 @@ class TestWithSyntheticRuleset:
                 needle = accepted_text(dfa, 1, seed=i)  # finite language
             if not needle:
                 continue
-            hits = mps.matches(b"-- " + needle + b" --", num_chunks=3)
+            hits = mps.matches(b"-- " + needle + b" --", plan=Plan(num_chunks=3))
             if i in hits:
                 found_self += 1
         assert found_self >= 4  # most rules find their own witness

@@ -2,11 +2,13 @@
 
 The IDS scan path must make every knob language-invisible: for any
 ruleset, any payload, any chunk count (including ``p > n``), any kernel
-(including odd stride tails) and any dispatch backend, ``matches`` and
-``scan_chunked`` return the exact rule set of the serial python-kernel
-scan — and the streaming cursor agrees with batch matching under
-arbitrary block boundaries.  Mirrors ``tests/test_kernels.py`` /
-``tests/test_executor_equivalence.py`` for :class:`MultiPatternSet`.
+(including odd stride tails) and any dispatch backend, ``matches`` under
+a lockstep or a chunk-dispatched plan, and Algorithm 5 with every chunk
+dispatched (``sfa_chunked``, also at ``p = 1``), return the exact rule
+set of the serial python-kernel scan — and the streaming cursor agrees
+with batch matching under arbitrary block boundaries.  Mirrors
+``tests/test_kernels.py`` / ``tests/test_executor_equivalence.py`` for
+:class:`MultiPatternSet`.
 """
 
 import functools
@@ -19,7 +21,13 @@ from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import StreamingMultiMatcher
 from repro.parallel.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.parallel.scan import KERNELS
+from repro.planning.plan import Plan
 from repro.workloads.snort import generate_ruleset
+
+from .conftest import sfa_chunked
+
+#: The serial python-kernel reference: one chunk over the union DFA.
+SERIAL = Plan(engine="lockstep")
 
 # Hand-written rules plus two generated SNORT-like rulesets (seeds chosen
 # for small unions — the cross product of Σ*-wrapped rules grows fast).
@@ -52,10 +60,12 @@ payloads = st.binary(max_size=200) | st.text(
 @settings(max_examples=40, deadline=None)
 def test_matches_invariant_under_kernel_and_chunking(data, p, kernel, key):
     mps = multiset(key)
-    ref = mps.matches(data)
-    assert mps.matches(data, num_chunks=p, kernel=kernel) == ref
-    assert mps.scan_chunked(data, p, kernel=kernel) == ref
-    assert mps.matches_any(data, num_chunks=p, kernel=kernel) == bool(ref)
+    ref = mps.matches(data, plan=SERIAL)
+    assert mps.matches(data, plan=Plan(num_chunks=p, kernel=kernel)) == ref
+    chunked = Plan(num_chunks=p, kernel=kernel, executor="serial")
+    assert mps.matches(data, plan=chunked) == ref
+    assert sfa_chunked(mps, data, p, kernel) == ref
+    assert mps.matches_any(data, plan=Plan(num_chunks=p, kernel=kernel)) == bool(ref)
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +97,24 @@ EXECUTOR_PAYLOADS = [
 def test_matches_invariant_under_executors(thread_ex, process_ex, p, kernel):
     mps = multiset("hand")
     for data in EXECUTOR_PAYLOADS:
-        ref = mps.matches(data)
+        ref = mps.matches(data, plan=SERIAL)
         for ex in (None, SerialExecutor(), thread_ex, process_ex):
-            got = mps.matches(data, num_chunks=p, executor=ex, kernel=kernel)
+            got = mps.matches(
+                data, executor=ex, plan=Plan(num_chunks=p, kernel=kernel)
+            )
             assert got == ref, (data, p, kernel, ex)
-            got = mps.scan_chunked(data, p, executor=ex, kernel=kernel)
+            got = sfa_chunked(mps, data, p, kernel, ex)
             assert got == ref, ("chunked", data, p, kernel, ex)
 
 
 def test_snort_ruleset_across_backends(thread_ex, process_ex):
     mps = multiset("snort7")
     data = b"scripts/jsp42 999999:0123 format=ab12 " * 4
-    ref = mps.matches(data)
+    ref = mps.matches(data, plan=SERIAL)
     assert ref  # the payload is built to trip rules
     for ex in (thread_ex, process_ex):
         for kernel in ("python", "stride2"):
-            assert mps.matches(data, num_chunks=5, executor=ex, kernel=kernel) == ref
+            assert mps.matches(data, executor=ex, plan=Plan(num_chunks=5, kernel=kernel)) == ref
 
 
 @given(
@@ -115,10 +127,10 @@ def test_snort_ruleset_across_backends(thread_ex, process_ex):
 @settings(max_examples=40, deadline=None)
 def test_streaming_agrees_with_batch(data, cuts, p, kernel, key):
     mps = multiset(key)
-    expected = mps.matches(data)
+    expected = mps.matches(data, plan=SERIAL)
     bounds = sorted({0, len(data), *[c % (len(data) + 1) for c in cuts]})
     blocks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-    cur = StreamingMultiMatcher(mps, num_chunks=p, kernel=kernel)
+    cur = StreamingMultiMatcher(mps, plan=Plan(num_chunks=p, kernel=kernel))
     reported = set()
     for block in blocks:
         fresh = cur.feed(block)
@@ -134,9 +146,9 @@ def test_streaming_agrees_with_batch(data, cuts, p, kernel, key):
 @settings(max_examples=25, deadline=None)
 def test_streaming_fullmatch_mode_tracks_current_rules(data, cuts):
     mps = _fullmatch_set()
-    expected = mps.matches(data)
+    expected = mps.matches(data, plan=SERIAL)
     bounds = sorted({0, len(data), *[c % (len(data) + 1) for c in cuts]})
-    cur = StreamingMultiMatcher(mps)
+    cur = StreamingMultiMatcher(mps, plan=SERIAL)
     for a, b in zip(bounds, bounds[1:]):
         cur.feed(data[a:b])
     # fullmatch mode is not monotone: rules() is the verdict for exactly

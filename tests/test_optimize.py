@@ -26,6 +26,7 @@ from repro.analysis.rewrite import canonical, rewrite
 from repro.cli import main as cli_main
 from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import StreamingMultiMatcher
+from repro.planning.plan import Plan
 from repro.regex.ast import Never
 from repro.regex.parser import parse
 from repro.regex.printer import to_pattern
@@ -240,7 +241,8 @@ class TestOptimizeRuleset:
         for data in payloads:
             expect = base.matches(data)
             assert opt.matches(data) == expect, data
-            assert opt.scan_chunked(data, num_chunks=4) == expect, data
+            chunked = Plan(num_chunks=4, executor="serial")
+            assert opt.matches(data, plan=chunked) == expect, data
             assert opt.matches_any(data) == bool(expect), data
         if backend in ("eager", "auto"):
             for data in payloads:

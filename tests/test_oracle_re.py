@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from .conftest import compiled
+from repro.planning.plan import Plan
 
 
 # -- random pattern generator (dialect shared with `re`) ---------------------
@@ -61,9 +62,9 @@ def test_fullmatch_agrees_with_re(pattern, word):
 def test_all_engines_agree_with_re(pattern, word, chunks):
     m = compiled(pattern)
     expected = re.fullmatch(pattern.encode(), word) is not None
-    assert m.fullmatch(word, engine="speculative", num_chunks=chunks) == expected
-    assert m.fullmatch(word, engine="sfa", num_chunks=chunks) == expected
-    assert m.fullmatch(word, engine="lockstep", num_chunks=chunks) == expected
+    assert m.fullmatch(word, plan=Plan(engine="speculative", num_chunks=chunks)) == expected
+    assert m.fullmatch(word, plan=Plan(engine="sfa", num_chunks=chunks)) == expected
+    assert m.fullmatch(word, plan=Plan(engine="lockstep", num_chunks=chunks)) == expected
 
 
 @given(pattern_strategy, word_strategy)
@@ -72,6 +73,8 @@ def test_contains_agrees_with_re_search(pattern, word):
     m = compiled(pattern)
     expected = re.search(pattern.encode(), word) is not None
     assert m.contains(word) == expected, (pattern, word)
+    lockstep = Plan(engine="lockstep", num_chunks=8)
+    assert m.contains(word, plan=lockstep) == expected, (pattern, word)
 
 
 @given(pattern_strategy, word_strategy)

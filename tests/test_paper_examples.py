@@ -11,6 +11,7 @@ import pytest
 from repro import compile_pattern
 from repro.automata import correspondence_construction, minimize, subset_construction, glushkov_nfa
 from repro.matching.parallel_sfa import parallel_sfa_run, sfa_chunk_scan
+from repro.planning.plan import Plan
 from repro.regex.parser import parse
 
 
@@ -165,5 +166,5 @@ class TestQuickstartDocExample:
         m = compile_pattern("(ab)*")
         assert m.fullmatch(b"abababab")
         assert not m.fullmatch(b"ababa")
-        assert m.fullmatch(b"abababab", engine="lockstep", num_chunks=4)
+        assert m.fullmatch(b"abababab", plan=Plan(engine="lockstep", num_chunks=4))
         assert m.sizes()["d_sfa"] == 6

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import compile_pattern
+from repro.planning.plan import Plan
 from repro.workloads.patterns import (
     FIG10_EXPECTED,
     fig9_expected_sizes,
@@ -135,5 +136,5 @@ class TestRnTexts:
         m = compiled(rn_pattern(n))
         text = rn_accepted_text(n, 4 * 2 * n, seed=1)
         assert m.fullmatch(text)
-        assert m.fullmatch(text, engine="lockstep", num_chunks=3)
+        assert m.fullmatch(text, plan=Plan(engine="lockstep", num_chunks=3))
         assert not m.fullmatch(text[:-1])

@@ -6,9 +6,8 @@ Four contracts pinned here:
    serial python reference across random patterns × payloads × entry
    points (batch, spans, multi-pattern, streaming).  The planner may only
    ever change *how* a scan runs, never *what* it returns.
-2. **Back-compat** — explicitly-passed legacy knobs beat any plan
-   (callers who hand-picked a combination keep it), and ``plan=None``
-   with no knobs is bit-for-bit the pre-planner behaviour.
+2. **One strategy argument** — ``plan`` (``"auto"`` or a ``Plan``) is
+   the only way to say how to run; an explicit ``Plan`` is run as given.
 3. **Guard rails** — the vector kernel is never chosen for acceptance
    scans (the 0.067× regime measured in ``bench_kernels``), the chosen
    plan is never estimated slower than serial python, and tiny inputs
@@ -29,7 +28,9 @@ from repro.cli import main as cli_main
 from repro.errors import MatchEngineError
 from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import (
+    ParallelStreamMatcher,
     StreamingMultiMatcher,
+    StreamingMultiSpanMatcher,
     StreamingSpanMatcher,
     StreamMatcher,
 )
@@ -100,25 +101,94 @@ class TestPlanObject:
         q = Plan.from_dict(d)
         assert q == p
 
-    def test_explicit_knobs_override_any_plan(self):
+    def test_explicit_plan_is_used_as_given(self):
         base = Plan(engine="sfa", kernel="stride4", num_chunks=8)
-        p = resolve_plan(base, "fullmatch", 1000, kernel="python", num_chunks=3)
-        assert (p.kernel, p.num_chunks) == ("python", 3)
-        assert p.engine == "sfa"  # untouched fields come from the plan
-        assert p.source.endswith("+knobs")
-
-    def test_no_plan_no_knobs_is_entry_point_defaults(self):
-        d = Plan(engine="lockstep", num_chunks=8)
-        p = resolve_plan(None, "contains", 1000, defaults=d)
-        assert p == d
+        assert resolve_plan(base, "fullmatch", 1 << 20) is base
+        assert resolve_plan(base.to_dict(), "fullmatch", 1 << 20) == base
 
     def test_garbage_plan_and_executor_rejected(self):
         with pytest.raises(MatchEngineError, match="plan must be"):
             resolve_plan("fastest", "fullmatch", 10)
-        with pytest.raises(MatchEngineError, match="not an executor"):
-            resolve_plan(None, "fullmatch", 10, executor=object())
+        with pytest.raises(MatchEngineError, match="plan must be"):
+            resolve_plan("off", "fullmatch", 10)
+        with pytest.raises(TypeError):
+            resolve_plan("auto", "fullmatch", 10, executor=object())
         with pytest.raises(MatchEngineError, match="unknown plan task"):
             resolve_plan(None, "teleport", 10)
+        for bad in (
+            {"num_chunks": "8"}, {"num_chunks": True}, {"num_chunks": 2.5},
+            {"num_workers": "x"}, {"num_workers": 0},
+            {"num_workers": False}, {"prefilter": "no"},
+            {"prefilter": 0},
+        ):
+            with pytest.raises(MatchEngineError):
+                Plan.from_dict(bad)
+
+
+# ---------------------------------------------------------------------------
+# plan is the only strategy argument
+# ---------------------------------------------------------------------------
+
+#: Every loose strategy kwarg the entry points used to take, with a value
+#: that was valid for it.
+REMOVED_KWARGS = {
+    "engine": "sfa", "num_chunks": 2, "reduction": "tree", "executor": "serial",
+    "num_workers": 2, "kernel": "stride2", "prefilter": False,
+}
+
+
+def _entry_points():
+    m = compile_pattern("ab")
+    mps = MultiPatternSet(["ab", "cd"])
+    data = b"xxabxx"
+    return {
+        "fullmatch": lambda **kw: m.fullmatch(data, **kw),
+        "contains": lambda **kw: m.contains(data, **kw),
+        "finditer": lambda **kw: m.finditer(data, **kw),
+        "find": lambda **kw: m.find(data, **kw),
+        "count": lambda **kw: m.count(data, **kw),
+        "findall": lambda **kw: m.findall(data, **kw),
+        "SpanEngine.spans": lambda **kw: m.span_engine().spans(data, **kw),
+        "matches": lambda **kw: mps.matches(data, **kw),
+        "matches_any": lambda **kw: mps.matches_any(data, **kw),
+        "MultiPatternSet.finditer": lambda **kw: mps.finditer(data, **kw),
+        "StreamMatcher": lambda **kw: StreamMatcher(m.sfa, **kw),
+        "ParallelStreamMatcher": lambda **kw: ParallelStreamMatcher(
+            m.sfa, **kw
+        ),
+        "StreamingMultiMatcher": lambda **kw: StreamingMultiMatcher(mps, **kw),
+        "StreamingSpanMatcher": lambda **kw: StreamingSpanMatcher(m, **kw),
+        "StreamingMultiSpanMatcher": lambda **kw: StreamingMultiSpanMatcher(
+            mps, **kw
+        ),
+    }
+
+
+#: Entry points that keep ``executor=`` for a caller-owned pool instance.
+EXECUTOR_INSTANCE = {"fullmatch", "contains", "matches", "matches_any"}
+
+
+class TestOneStrategyArgument:
+    @pytest.mark.parametrize("kwarg", sorted(REMOVED_KWARGS))
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    def test_removed_kwarg_raises_type_error(self, entry, kwarg):
+        call = _entry_points()[entry]
+        call()  # plan="auto" by default
+        call(plan=Plan())
+        if kwarg == "executor" and entry in EXECUTOR_INSTANCE:
+            # kept, but only for ChunkExecutor instances, never names
+            with pytest.raises(MatchEngineError, match="ChunkExecutor"):
+                call(executor=REMOVED_KWARGS[kwarg])
+            return
+        with pytest.raises(TypeError):
+            call(**{kwarg: REMOVED_KWARGS[kwarg]})
+
+    def test_scan_chunked_is_gone(self):
+        assert not hasattr(MultiPatternSet, "scan_chunked")
+        mps = MultiPatternSet(["ab", "cd"])
+        data = b"xx cd ab " * 10
+        chunked = mps.matches(data, plan=Plan(num_chunks=4, executor="serial"))
+        assert chunked == mps.matches(data, plan=Plan(engine="lockstep"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +271,7 @@ class TestPlannerChoices:
         monkeypatch.setattr(eng, "parallel_sfa_run", spy)
         m = _warm(rn_pattern(5))
         text = rn_accepted_text(5, 100_000, seed=1)
-        assert m.fullmatch(text, plan="auto", engine="dfa")  # knob wins
+        assert m.fullmatch(text, plan=Plan(engine="dfa"))  # explicit plan
         assert not calls
         assert m.fullmatch(text, plan="auto")  # warm auto picks the SFA
         assert calls
@@ -209,16 +279,16 @@ class TestPlannerChoices:
     def test_auto_falls_back_serial_on_state_explosion(self):
         # A pattern whose SFA construction explodes must still answer
         # under plan="auto" (fallback to the serial DFA walk) while an
-        # explicit engine=sfa request keeps raising.
+        # explicit Plan(engine="sfa") keeps raising.
         from repro.errors import StateExplosionError
 
         m = compile_pattern("(a|b)*a(a|b){12}", max_sfa_states=64)
         text = b"ab" * 3000 + b"a" + b"ab" * 6
         with pytest.raises(StateExplosionError):
-            m.fullmatch(text, engine="sfa")
+            m.fullmatch(text, plan=Plan(engine="sfa"))
         assert m.fullmatch(text, plan=Plan(
             engine="sfa", kernel="python", source="auto"
-        )) == m.fullmatch(text, engine="dfa")
+        )) == m.fullmatch(text, plan=Plan(engine="dfa"))
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +325,32 @@ class TestAutoEquivalence:
             m = compile_pattern(pat)
             for size in (0, 1, 37, 5000, 60_000):
                 data = _payload(rng, size)
-                assert m.fullmatch(data, plan="auto") == m.fullmatch(data)
-                assert m.contains(data, plan="auto") == m.contains(data)
-                assert list(m.finditer(data, plan="auto")) == list(
-                    m.finditer(data)
+                ref = Plan()  # serial python reference
+                assert m.fullmatch(data, plan="auto") == m.fullmatch(
+                    data, plan=ref
                 )
-                assert m.count(data, plan="auto") == m.count(data)
+                assert m.contains(data, plan="auto") == m.contains(
+                    data, plan=ref
+                )
+                assert list(m.finditer(data, plan="auto")) == list(
+                    m.finditer(data, plan=ref)
+                )
+                assert m.count(data, plan="auto") == m.count(data, plan=ref)
 
     def test_multi_pattern(self):
         rng = random.Random(2940)
         mps = MultiPatternSet(RULES)
         for size in (0, 100, 8192, 60_000):
             data = _payload(rng, size)
-            assert mps.matches(data, plan="auto") == mps.matches(data)
-            assert mps.matches_any(data, plan="auto") == mps.matches_any(data)
+            ref = Plan(engine="lockstep")  # one serial python-kernel chunk
+            assert mps.matches(data, plan="auto") == mps.matches(
+                data, plan=ref
+            )
+            assert mps.matches_any(data, plan="auto") == mps.matches_any(
+                data, plan=ref
+            )
             assert list(mps.finditer(data, plan="auto")) == list(
-                mps.finditer(data)
+                mps.finditer(data, plan=ref)
             )
 
     def test_streaming_cursors(self):
@@ -289,10 +369,10 @@ class TestAutoEquivalence:
         for b in blocks:
             out.extend(auto.feed(b))
         out.extend(auto.finish())
-        assert out == list(m.finditer(data))
+        assert out == list(m.finditer(data, plan=Plan()))
 
         sm = StreamMatcher(compile_pattern("(ab)*").sfa, plan="auto")
-        ref = StreamMatcher(compile_pattern("(ab)*").sfa)
+        ref = StreamMatcher(compile_pattern("(ab)*").sfa, plan=Plan())
         for b in blocks:
             sm.feed(b)
             ref.feed(b)
@@ -303,7 +383,7 @@ class TestAutoEquivalence:
         for b in blocks:
             seen |= mm.feed(b)
         seen |= mm.finish()
-        assert seen == MultiPatternSet(RULES).matches(data)
+        assert seen == MultiPatternSet(RULES).matches(data, plan=Plan())
 
     def test_legacy_positional_run_calls_still_work(self):
         # The three run functions keep their positional legacy signature.
@@ -427,13 +507,27 @@ class TestPlanCLI:
         dump = json.loads(capsys.readouterr().out)
         assert dump["calibration"]["source"] == "default"
 
-    def test_match_plan_off_is_legacy(self, capsys, tmp_path):
+    def test_match_flags_build_exactly_the_given_plan(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.matching.engine as eng
+
         f = tmp_path / "in.bin"
         f.write_bytes(b"ab" * 100)
-        assert cli_main(["match", "(ab)*", str(f), "--plan", "off"]) == 0
-        assert capsys.readouterr().out.strip() == "match"
         assert cli_main(["match", "(ab)*", str(f)]) == 0  # auto default
         assert capsys.readouterr().out.strip() == "match"
+        ran = []
+        real = eng.CompiledPattern._run_plan
+
+        def spy(self, p, classes, ex=None):
+            ran.append(p)
+            return real(self, p, classes, ex)
+
+        monkeypatch.setattr(eng.CompiledPattern, "_run_plan", spy)
+        assert cli_main(["match", "(ab)*", str(f), "--engine", "sfa",
+                         "--chunks", "4"]) == 0
+        assert capsys.readouterr().out.strip() == "match"
+        assert ran == [Plan(engine="sfa", num_chunks=4)]
 
 
 # ---------------------------------------------------------------------------

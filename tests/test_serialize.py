@@ -17,6 +17,7 @@ from repro.automata.serialize import (
 )
 from repro.errors import AutomatonError
 from repro.matching.multi import MultiPatternSet
+from repro.planning.plan import Plan
 
 from .conftest import compiled
 
@@ -117,7 +118,7 @@ class TestRulesetRoundTrip:
         loaded = roundtrip_ruleset(mps)
         for data in RULESET_PAYLOADS:
             assert loaded.matches(data) == mps.matches(data), data
-            assert loaded.matches(data, num_chunks=4, kernel="stride2") == \
+            assert loaded.matches(data, plan=Plan(num_chunks=4, kernel="stride2")) == \
                 mps.matches(data), data
 
     def test_sources_and_flags_preserved(self):
@@ -158,7 +159,7 @@ class TestRulesetRoundTrip:
         from repro.matching.stream import StreamingMultiMatcher
 
         loaded = roundtrip_ruleset(MultiPatternSet(RULESET_RULES))
-        cur = StreamingMultiMatcher(loaded, num_chunks=3)
+        cur = StreamingMultiMatcher(loaded, plan=Plan(num_chunks=3))
         assert cur.feed(b"xx ab") == set()
         assert cur.feed(b"c yy") == {0}
 

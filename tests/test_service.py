@@ -20,6 +20,7 @@ from repro import compile_pattern
 from repro.errors import ServiceError
 from repro.matching import spans as spans_mod
 from repro.matching.multi import MultiPatternSet
+from repro.planning.plan import Plan, resolve_plan
 from repro.service.cache import (
     ArtifactCache,
     pattern_key,
@@ -335,8 +336,11 @@ class TestServiceBasics:
         data = b"x" * 5000 + b"needle42" + b"y" * 5000
         with server.client() as c:
             assert c.match("needle[0-9]+", data, mode="contains")
-            assert c.scan("needle[0-9]+", data, chunks=8, kernel="stride2")
-            assert not c.scan("absent", data, chunks=8)
+            chunked = Plan(engine="sfa", num_chunks=8, kernel="stride2")
+            assert c.match("needle[0-9]+", data, mode="contains",
+                           plan=chunked)
+            assert not c.match("absent", data, mode="contains",
+                               plan=Plan(engine="sfa", num_chunks=8))
 
     def test_finditer_equivalence(self, server):
         data = b"xx ERROR 42 yy ERROR 7 zz" * 40
@@ -344,8 +348,10 @@ class TestServiceBasics:
         want = list(m.finditer(data))
         with server.client() as c:
             assert c.finditer("ERROR [0-9]+", data) == want
-            assert c.finditer("ERROR [0-9]+", data, chunks=4,
-                              kernel="stride2") == want
+            assert c.finditer(
+                "ERROR [0-9]+", data,
+                plan=Plan(num_chunks=4, kernel="stride2"),
+            ) == want
             assert c.finditer("ERROR [0-9]+", data, limit=3) == want[:3]
 
     def test_finditer_limit_zero_returns_no_spans(self, server):
@@ -385,17 +391,17 @@ class TestServiceBasics:
         want = sorted(MultiPatternSet(RULES).matches(data))
         with server.client() as c:
             assert c.multiscan(RULES, data) == want
-            assert c.multiscan(RULES, data, chunks=4, kernel="stride2") == want
+            assert c.multiscan(
+                RULES, data, plan=Plan(num_chunks=4, kernel="stride2")
+            ) == want
 
     def test_compile_reports_and_caches(self, server):
         with server.client() as c:
-            r1 = c.compile("(ab)*", stages=["dfa", "sfa", "spans"],
-                           kernel="stride2")
+            r1 = c.compile("(ab)*", stages=["dfa", "sfa", "spans"])
             assert r1["cached"] is False
             assert r1["sizes"]["d_sfa"] == 6
             assert set(r1["built"]) == {"dfa", "sfa", "spans"}
-            r2 = c.compile("(ab)*", stages=["dfa", "sfa", "spans"],
-                           kernel="stride2")
+            r2 = c.compile("(ab)*", stages=["dfa", "sfa", "spans"])
             assert r2["cached"] is True
             assert r2["built"] == []
             # a match on the warmed pattern is a pure cache hit
@@ -492,8 +498,10 @@ class TestServiceErrors:
                             check=False)
             assert err["ok"] is False
             assert err["error"]["kind"] in ("bad-request", "internal")
-            err = c.request({"op": "match", "pattern": "a", "chunks": [4]},
-                            b"x", check=False)
+            err = c.request(
+                {"op": "match", "pattern": "a", "plan": {"num_chunks": [4]}},
+                b"x", check=False,
+            )
             assert err["ok"] is False
             assert c.ping()  # connection survived both
 
@@ -510,17 +518,25 @@ class TestServiceErrors:
         c.close()
 
     def test_bad_knobs_rejected(self, server):
+        # every malformed plan is the client's fault: bad-request, never
+        # engine/internal (a string num_chunks must not escape as TypeError)
         with server.client() as c:
-            err = c.request(
-                {"op": "match", "pattern": "a", "chunks": 0}, b"x",
-                check=False,
-            )
-            assert err["error"]["kind"] == "bad-request"
-            err = c.request(
-                {"op": "finditer", "pattern": "a", "kernel": "warp9"},
-                b"x", check=False,
-            )
-            assert err["error"]["kind"] == "engine"
+            for op, plan in (
+                ("match", {"num_chunks": 0}),
+                ("match", {"num_chunks": "8"}),
+                ("match", {"num_workers": "x"}),
+                ("finditer", {"kernel": "warp9"}),
+                ("finditer", {"prefilter": "no"}),
+                ("multiscan", {"num_chunks": True}),
+                ("match", "off"),
+                ("match", None),
+            ):
+                header = {"op": op, "pattern": "a", "plan": plan}
+                if op == "multiscan":
+                    header = {"op": op, "rules": RULES, "plan": plan}
+                err = c.request(header, b"x", check=False)
+                assert err["error"]["kind"] == "bad-request", (op, plan)
+            assert c.ping()
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +667,9 @@ class TestServiceConcurrency:
                 with server.client() as c:
                     barrier.wait(timeout=30)
                     if i % 3 == 0:
-                        got = c.finditer(pattern, data, chunks=4)
+                        got = c.finditer(
+                            pattern, data, plan=Plan(num_chunks=4)
+                        )
                         assert got == expect[data], "spans diverged"
                     elif i % 3 == 1:
                         st = c.open_stream(pattern=pattern)
@@ -677,13 +695,72 @@ class TestServiceConcurrency:
         handle = _ServerHandle(cache_size=8, executor="threads", num_workers=2)
         try:
             data = b"x" * 3000 + b"needle7" + b"y" * 3000
+            local = compile_pattern("needle[0-9]")
             with handle.client() as c:
-                assert c.scan("needle[0-9]", data, chunks=4)
-                spans = c.finditer("needle[0-9]", data, chunks=4)
-                assert spans == [(3000, 3007)]
+                for payload in (data, data.replace(b"needle7", b"needle")):
+                    reply = c.request({
+                        "op": "match", "pattern": "needle[0-9]",
+                        "mode": "contains",
+                        "plan": {"engine": "sfa", "num_chunks": 4},
+                    }, payload)
+                    assert reply["match"] is local.contains(payload)
+                    # the chunks ran on the server's own thread pool
+                    assert reply["plan"] == "sfa/p4/threads/python"
+                # Scans that dispatch no chunks whatever num_chunks says
+                # (the dfa walk, the lockstep scan, spans) run in-process,
+                # and their summary says so.
+                for op, engine in (("match", "dfa"), ("match", "lockstep"),
+                                   ("finditer", "sfa")):
+                    reply = c.request({
+                        "op": op, "pattern": "needle[0-9]",
+                        "mode": "contains",
+                        "plan": {"engine": engine, "num_chunks": 8},
+                    }, data)
+                    assert reply["plan"] == f"{engine}/p8/inline/python"
+                    if op == "match":
+                        assert reply["match"] is True
+                    else:
+                        assert reply["spans"] == [[3000, 3007]]
                 assert c.stats()["executor"] == "threads"
         finally:
             handle.stop()
+
+    def test_wire_plan_cannot_size_server_pools(self, server):
+        # A plan naming a pool is run on the server's executor (none
+        # here, so in-process); it never builds a pool of its own size.
+        from repro.parallel import executor as ex_mod
+
+        data = b"x" * 3000 + b"needle7" + b"y" * 3000
+        before = dict(ex_mod._SHARED)
+        with server.client() as c:
+            reply = c.request({
+                "op": "match", "pattern": "needle[0-9]", "mode": "contains",
+                "plan": {"engine": "sfa", "num_chunks": 2,
+                         "executor": "threads", "num_workers": 3},
+            }, data)
+        assert dict(ex_mod._SHARED) == before
+        assert reply["match"] is compile_pattern("needle[0-9]").contains(data)
+        assert reply["plan"] == "sfa/p2/inline/python"
+
+    def test_request_without_plan_runs_auto(self, server):
+        data = (b"pad ERROR 42 abc GET /index a7b " * 400)[:9000]
+        with server.client() as c:
+            reply = c.request(
+                {"op": "finditer", "pattern": "ERROR [0-9]+"}, data
+            )
+            want = resolve_plan(
+                "auto", "spans", len(data),
+                subject=compile_pattern("ERROR [0-9]+"),
+            )
+            assert reply["plan"] == want.summary()
+            reply = c.request(
+                {"op": "multiscan", "rules": RULES, "mode": "search"}, data
+            )
+            want = resolve_plan(
+                "auto", "multi", len(data),
+                subject=MultiPatternSet(RULES, backend="auto"),
+            )
+            assert reply["plan"] == want.summary()
 
     def test_shutdown_op_stops_server(self):
         handle = _ServerHandle(cache_size=4)

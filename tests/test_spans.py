@@ -19,6 +19,7 @@ from repro.matching.stream import (
     StreamingSpanMatcher,
 )
 from repro.parallel.scan import mask_scan
+from repro.planning.plan import Plan
 from tests.test_find_differential import random_payload, random_regex
 
 
@@ -69,9 +70,9 @@ class TestSpanAPI:
     def test_bad_kernel_and_chunks_rejected(self):
         m = compile_pattern("a")
         with pytest.raises(MatchEngineError):
-            m.span_engine().spans(b"a", kernel="simd")
+            m.span_engine().spans(b"a", plan=Plan(kernel="simd"))
         with pytest.raises(MatchEngineError):
-            m.span_engine().spans(b"a", num_chunks=0)
+            m.span_engine().spans(b"a", plan=Plan(num_chunks=0))
 
     def test_span_engine_cached(self):
         m = compile_pattern("ab")
@@ -118,7 +119,7 @@ class TestLazyStartAutomaton:
             m = compile_pattern(self.PATTERN)
             want = list(m.finditer(data))
             assert m.span_engine()._bwd is None
-            assert list(m.finditer(data, prefilter=False)) == want
+            assert list(m.finditer(data, plan=Plan(prefilter=False))) == want
             assert m.span_engine()._bwd is not None
             assert want == [x.span() for x in re.finditer(rb"ERROR [0-9]+", data)]
 
@@ -452,9 +453,10 @@ class TestMultiPatternSpans:
         base = mps.finditer(data)
         for executor in (None, "threads"):
             for kernel in ("python", "stride2"):
-                got = mps.finditer(
-                    data, 4, executor=executor, num_workers=2, kernel=kernel
-                )
+                got = mps.finditer(data, plan=Plan(
+                    num_chunks=4, executor=executor, num_workers=2,
+                    kernel=kernel,
+                ))
                 assert got == base, (executor, kernel)
 
     def test_fullmatch_mode_extracts_all_rules(self):

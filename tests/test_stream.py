@@ -9,6 +9,7 @@ from repro.matching.stream import (
     StreamingMultiMatcher,
     StreamMatcher,
 )
+from repro.planning.plan import Plan
 
 from .conftest import compiled
 
@@ -65,8 +66,8 @@ class TestParallelStreamMatcher:
     def test_matches_serial_cursor(self):
         m = compiled("(a|b)*abb")
         text = b"abbaabbbab" * 9
-        serial = StreamMatcher(m.sfa)
-        par = ParallelStreamMatcher(m.sfa, num_chunks=4)
+        serial = StreamMatcher(m.sfa, plan=Plan(engine="sfa"))
+        par = ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=4))
         for i in range(0, len(text), 17):
             block = text[i : i + 17]
             serial.feed(block)
@@ -77,23 +78,23 @@ class TestParallelStreamMatcher:
     def test_bad_chunks(self):
         m = compiled("(ab)*")
         with pytest.raises(MatchEngineError):
-            ParallelStreamMatcher(m.sfa, num_chunks=0)
+            ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=0))
 
     def test_block_smaller_than_chunks(self):
         m = compiled("(ab)*")
-        par = ParallelStreamMatcher(m.sfa, num_chunks=16)
+        par = ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=16))
         par.feed(b"ab")  # 2 bytes < 16 chunks
         assert par.accepted()
 
     def test_consumed_accounting(self):
         m = compiled("(ab)*")
-        par = ParallelStreamMatcher(m.sfa, num_chunks=4)
+        par = ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=4))
         par.feed(b"abab").feed(b"")
         assert par.bytes_consumed == 4
 
     def test_reset(self):
         m = compiled("(ab)*")
-        par = ParallelStreamMatcher(m.sfa, num_chunks=4)
+        par = ParallelStreamMatcher(m.sfa, plan=Plan(num_chunks=4))
         par.feed(b"a")
         par.reset()
         assert par.state == m.sfa.initial
@@ -133,7 +134,7 @@ class TestStreamingMultiMatcher:
     @pytest.mark.parametrize("p", [1, 4])
     def test_kernel_and_chunk_knobs(self, mps, kernel, p):
         text = b"abc a1b zztop " * 3
-        cur = StreamingMultiMatcher(mps, num_chunks=p, kernel=kernel)
+        cur = StreamingMultiMatcher(mps, plan=Plan(num_chunks=p, kernel=kernel))
         cur.feed(text[:7])
         cur.feed(text[7:])
         assert cur.matched_rules() == mps.matches(text)
@@ -147,7 +148,7 @@ class TestStreamingMultiMatcher:
         assert cur.matched_rules() == {0}
 
     def test_reset(self, mps):
-        cur = StreamingMultiMatcher(mps, num_chunks=3)
+        cur = StreamingMultiMatcher(mps, plan=Plan(num_chunks=3))
         cur.feed(b"abc")
         cur.reset()
         assert cur.state == mps.sfa.initial
@@ -171,9 +172,9 @@ class TestStreamingMultiMatcher:
 
     def test_bad_knobs(self, mps):
         with pytest.raises(MatchEngineError):
-            StreamingMultiMatcher(mps, num_chunks=0)
+            StreamingMultiMatcher(mps, plan=Plan(num_chunks=0))
         with pytest.raises(MatchEngineError):
-            StreamingMultiMatcher(mps, kernel="simd")
+            StreamingMultiMatcher(mps, plan=Plan(kernel="simd"))
 
     def test_epsilon_matching_rules_reported_by_first_feed(self):
         # a rule whose language contains the empty string must still show
@@ -195,5 +196,5 @@ class TestStreamingMultiMatcher:
         assert cur.feed(b" zztop") == {2}
         assert fresh._sfa is None
         # the chunk-parallel cursor does need it
-        StreamingMultiMatcher(fresh, num_chunks=2)
+        StreamingMultiMatcher(fresh, plan=Plan(num_chunks=2))
         assert fresh._sfa is not None
