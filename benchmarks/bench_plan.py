@@ -14,6 +14,7 @@ unit tests, not a throughput question.
 Ratios land in BENCH_results.json under ``bench_plan.*``.
 """
 
+import math
 import random
 
 from repro import MultiPatternSet, compile_pattern
@@ -95,11 +96,14 @@ def test_plan_acceptance(benchmark):
     m.sfa.stride_table(2)
     m.sfa.stride_table(4)
 
+    lanes = math.isqrt(len(text) // 4)  # the planner's lane count
     combos = {
         "dfa/python": lambda: m.fullmatch(text, plan=Plan(engine="dfa")),
         "sfa/python": lambda: m.fullmatch(text, plan=Plan(engine="sfa", kernel="python")),
         "sfa/stride2": lambda: m.fullmatch(text, plan=Plan(engine="sfa", kernel="stride2")),
         "sfa/stride4": lambda: m.fullmatch(text, plan=Plan(engine="sfa", kernel="stride4")),
+        "lockstep/stride4": lambda: m.fullmatch(text, plan=Plan(
+            engine="lockstep", kernel="stride4", num_chunks=lanes)),
     }
     plan = get_planner().plan("fullmatch", len(text), subject=m)
     _report(benchmark, "bench_plan.acceptance",

@@ -837,10 +837,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.planning.planner import get_planner
 
     m = compile_pattern(args.pattern, ignore_case=args.ignore_case)
+    # ``contains`` scans (and plans against) the containment automaton
+    subject = m.search_pattern() if args.task == "contains" else m
     if args.warm:
-        m.sfa  # build the scan artifacts so the plan is the steady-state one
+        subject.sfa  # build the scan artifacts: the steady-state plan
         m.span_engine()
-    p = get_planner().plan(args.task, args.size, subject=m)
+    p = get_planner().plan(args.task, args.size, subject=subject)
     cal = get_calibration()
     if args.json:
         print(json.dumps(

@@ -2,16 +2,21 @@
 
 The ``p`` chunk scans of Algorithm 5 are independent and structurally
 identical, so instead of ``p`` OS threads we advance all ``p`` SFA states in
-lockstep with one vectorized gather per position:
+lockstep, one chunk per NumPy *lane*, with two vector calls per position:
 
-    states = flat_table[states * k + column_j]        # shape (p,)
+    tmp = states + column_j;  states = lanes[tmp]     # shape (p,)
 
-This is data parallelism in the original Hillis–Steele sense and is the
-measured-speedup substitute for the paper's pthread runs (DESIGN.md §3):
-per input character the Python interpreter executes ``O(1/p)`` loop
-iterations, so throughput rises with ``p`` until vector overhead and the
-``O(p)`` reduction balance it — the same ``O(n/p + p)`` trade-off as the
-paper's Algorithm 5 with sequential reduction.
+where ``lanes`` is the transition table flattened with entries pre-scaled
+by its width (:func:`~repro.parallel.scan.lane_table`, built once per
+table and kept on its owner) and ``states`` holds scaled states.  This is
+data parallelism in the original Hillis–Steele sense and the measured
+substitute for the paper's pthread runs (DESIGN.md §3): per input symbol
+the interpreter executes ``O(1/p)`` loop iterations, so a scan of ``m``
+symbols costs ``m/p`` steps of fixed dispatch plus ``m`` element
+operations — with ``p ≈ √m`` lanes (the planner's choice above
+:data:`~repro.planning.planner.LANE_ACCEPT_MIN`) both terms are small and
+the ``O(p)`` reduction is negligible, the paper's ``O(n/p + p)``
+trade-off.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from repro.parallel.reduction import (
     sequential_reduction_dsfa,
     sequential_reduction_nsfa,
 )
-from repro.parallel.scan import KERNELS, sfa_scan
-from repro.regex.charclass import pack_stride
+from repro.parallel.scan import KERNELS, lane_table
 
 
 @dataclass
@@ -68,7 +72,7 @@ def lockstep_run(
     """
     if kernel not in KERNELS:
         raise MatchEngineError(f"unknown kernel {kernel!r}")
-    table = sfa.table
+    owner = sfa
     scan_classes = classes
     stride_tail = None
     if kernel in ("stride2", "stride4"):
@@ -76,35 +80,36 @@ def lockstep_run(
             sfa, 2 if kernel == "stride2" else 4, stride_budget
         )
         if st is not None:
-            scan_classes, stride_tail = pack_stride(
-                classes, sfa.num_classes, st.stride
-            )
-            table = st.table
+            scan_classes, stride_tail = st.pack(classes)
+            owner = st
+    flat = lane_table(owner)
+    k = owner.table.shape[1]
     p = clamp_chunks(len(scan_classes), num_chunks)
-    k = table.shape[1]
     block, tail = lockstep_layout(scan_classes, p)
+    if not np.can_cast(block.dtype, flat.dtype):
+        block = block.astype(flat.dtype)  # wide symbols: exact, they are < k
     m = block.shape[0]
 
-    flat = table.ravel().astype(np.int64)
-    states = np.full(p, sfa.initial, dtype=np.int64)
-    # Hot loop: two vector ops per position. ``np.take`` with ``out=`` avoids
-    # per-step allocation of the gather result.
-    idx = np.empty(p, dtype=np.int64)
-    for j in range(m):
-        np.multiply(states, k, out=idx)
-        idx += block[j]
-        np.take(flat, idx, out=states)
-    chunk_states = states.tolist()
-    if len(tail):
-        # finish the last chunk scalar (< p symbols; index the ndarray
-        # directly rather than materializing the whole table as a list)
-        f = chunk_states[-1]
-        for c in tail.tolist():
-            f = int(flat[f * k + c])
-        chunk_states[-1] = f
+    # Hot loop: two vector calls per position on scaled states
+    # (``f == state * k``), in the lane table's narrow dtype throughout.
+    states = np.full(p, sfa.initial * k, dtype=flat.dtype)
+    tmp = np.empty_like(states)
+    for row in block:
+        np.add(states, row, out=tmp)
+        flat.take(tmp, out=states, mode="clip")
+    scaled = states.tolist()
+    # The < p tail finishes the last chunk one lookup at a time.
+    f = scaled[-1]
+    for c in tail.tolist():
+        f = flat.item(f + c)
+    scaled[-1] = f
+    chunk_states = [s // k for s in scaled]
     if stride_tail is not None and len(stride_tail):
         # the < stride leftover runs on the base table
-        chunk_states[-1] = sfa_scan(sfa.table, chunk_states[-1], stride_tail)
+        q = chunk_states[-1]
+        for c in stride_tail.tolist():
+            q = sfa.table.item(q, c)
+        chunk_states[-1] = q
 
     if sfa.kind == "D-SFA":
         q = sequential_reduction_dsfa(sfa.maps, chunk_states, sfa.origin_initial)

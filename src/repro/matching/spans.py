@@ -102,7 +102,7 @@ from repro.automata.dfa import DFA, minimize, subset_construction
 from repro.automata.nfa import NFA, glushkov_nfa
 from repro.automata.sfa import SFA, correspondence_construction
 from repro.errors import MatchEngineError, StateExplosionError
-from repro.parallel.scan import _accept_flat, _scaled_flat, mask_scan
+from repro.parallel.scan import _accept_flat, _scaled_flat, lane_table, mask_scan
 from repro.planning.plan import AUTO, PlanArg, resolve_plan
 from repro.regex.ast import Concat, Literal, Star, reverse_node
 from repro.regex.charclass import CharSet
@@ -157,15 +157,6 @@ def accept_last(dfa: DFA) -> DFA:
         dfa.accept[order],
         dfa.partition,
     )
-
-
-def _lane_table(table: np.ndarray) -> np.ndarray:
-    """``table`` flattened, entries pre-scaled by its width, in the
-    narrowest unsigned dtype holding every ``state * k + class`` index
-    (a lane step is then one add plus one ``take``)."""
-    n, k = table.shape
-    scaled = table.astype(np.int64).ravel() * k
-    return scaled.astype(np.min_scalar_type(n * k - 1))
 
 
 class SpanEngine:
@@ -601,8 +592,8 @@ class SpanEngine:
             # accept_last: accepting states are the top indices of B
             thr = (bdfa.num_states - int(np.count_nonzero(bdfa.accept))) * k
             self._start_lanes = (
-                _lane_table(bsfa.table), bsfa.maps, bsfa.num_classes,
-                _lane_table(bdfa.table), k, thr,
+                lane_table(bsfa), bsfa.maps, bsfa.num_classes,
+                lane_table(bdfa), k, thr,
             )
         return self._start_lanes
 

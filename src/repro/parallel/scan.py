@@ -106,6 +106,29 @@ def _scaled_flat(table: np.ndarray) -> list:
     )
 
 
+def lane_table(owner) -> np.ndarray:
+    """``owner.table`` as a lane table, built once and kept on ``owner``.
+
+    The table flattened, its entries pre-scaled by the table width, in the
+    narrowest unsigned dtype holding every ``state * k + class`` index: a
+    lane step of the lockstep engine and of the span engine's lane passes
+    is then one add plus one ``take`` over all lanes, with no wide
+    temporary.  ``owner`` is the object that owns the table: an automaton
+    for its 1-gram table, a :class:`~repro.automata.stride.StrideTable`
+    for its superalphabet table.  The lane table lives on it as
+    ``_lanes``, the way automata keep their ``_stride_tables``, so it is
+    freed with its table and never rebuilt per call.
+    """
+    lanes = getattr(owner, "_lanes", None)
+    if lanes is None:
+        n, k = owner.table.shape
+        scaled = owner.table.astype(np.int64).ravel() * k
+        lanes = scaled.astype(np.min_scalar_type(n * k - 1))
+        lanes.flags.writeable = False
+        object.__setattr__(owner, "_lanes", lanes)
+    return lanes
+
+
 def _symbol_iter(classes: np.ndarray):
     """Cheapest per-symbol iterable: bytes for ``uint8`` streams.
 

@@ -32,7 +32,9 @@ from pathlib import Path
 from typing import Dict, Optional
 
 #: Bump when the JSON shape or the meaning of a measurement changes.
-CALIBRATION_VERSION = 1
+#: v2: the ``lockstep`` rate (8 chunks) gave way to the lane rates
+#: ``lanes_stride2``/``lanes_stride4`` and the ``lane_step`` overhead.
+CALIBRATION_VERSION = 2
 
 #: A calibration older than this is considered stale and ignored.
 MAX_AGE_SECONDS = 30 * 24 * 3600
@@ -50,7 +52,10 @@ class Calibration:
     fall back to :data:`DEFAULT_CALIBRATION`'s value via :meth:`rate`);
     ``dispatch_ms`` is the per-call overhead of handing chunks to an
     executor backend (pool submit + result collection; for processes
-    also the shared-memory publish of the payload).
+    also the shared-memory publish of the payload), plus ``"lane_step"``,
+    the fixed cost of one lockstep lane step (two NumPy calls), which a
+    lane scan of ``m`` symbols pays ``⌊√m⌋`` times on top of its
+    ``lanes_<kernel>`` per-byte rate.
     """
 
     version: int = CALIBRATION_VERSION
@@ -68,7 +73,8 @@ class Calibration:
         return float(v)
 
     def dispatch_s(self, executor: Optional[str]) -> float:
-        """Per-call dispatch overhead in seconds for an executor backend."""
+        """Per-call dispatch overhead in seconds for an executor backend
+        (per lane step for ``"lane_step"``)."""
         if executor in (None, "serial"):
             return 0.0
         ms = self.dispatch_ms.get(executor)
@@ -83,8 +89,14 @@ class Calibration:
 #: Reference-container rates (BENCH_results.json history, PR 4–6): the
 #: stride-4 SFA scan sustains ~150 MB/s against ~54 MB/s for the python
 #: per-byte loop; the vector kernel is a 15× *slowdown* on acceptance
-#: scans (0.067×) but ~35× on speculative transform scans; the lockstep
-#: all-states fold crawls at ~2.6 MB/s.
+#: scans (0.067×) but ~35× on speculative transform scans.  The lane
+#: entries are the medians of three :func:`run_calibration` runs on a
+#: 2-vCPU host (Python 3.11.7, NumPy 2.4.6): the lockstep engine
+#: (Algorithm 5 over ``⌊√m⌋`` NumPy lanes) packs, lays out and steps
+#: stride-4 input at 295–327 MB/s and stride-2 at 235–257 MB/s, plus
+#: 2.5–2.6 µs per lane step.  The same runs put ``sfa_stride4`` at only
+#: 66–73 MB/s, so beside the older entries above the lane entries are
+#: conservative.
 DEFAULT_CALIBRATION = Calibration(
     version=CALIBRATION_VERSION,
     cpu_count=os.cpu_count() or 1,
@@ -96,12 +108,13 @@ DEFAULT_CALIBRATION = Calibration(
         "sfa_stride2": 95.0,
         "sfa_stride4": 149.0,
         "sfa_vector": 3.6,
-        "lockstep": 2.6,
+        "lanes_stride2": 245.0,
+        "lanes_stride4": 320.0,
         "transform_python": 2.0,
         "transform_vector": 70.0,
         "spans_python": 25.0,
     },
-    dispatch_ms={"threads": 0.2, "processes": 2.2},
+    dispatch_ms={"threads": 0.2, "processes": 2.2, "lane_step": 0.0026},
 )
 
 
@@ -254,11 +267,20 @@ def run_calibration(
 
     Uses the Fig. 8 ``r_n`` pattern family (``(a|b)*a(a|b)^4``) so every
     kernel — including stride-4's 2-class superalphabet table — is
-    exercised on an automaton of realistic shape.  The vector and
-    lockstep rates are measured on a smaller slice (they are 15–20×
-    slower on acceptance scans; that *is* the number we are measuring,
-    no need to pay for it at full length).
+    exercised on an automaton of realistic shape.  The vector rate is
+    measured on a smaller slice (it is 15× slower on acceptance scans;
+    that *is* the number we are measuring, no need to pay for it at full
+    length).
+
+    Lanes are measured at the planner's lane count, ``⌊√m⌋`` lanes over
+    ``m`` packed symbols.  A lane step costs a fixed NumPy dispatch plus
+    per-lane work, so one rate measured at 1 MiB would understate lanes
+    on larger inputs; the fixed part is measured on its own
+    (``lane_step``: single-lane steps over a short slice) and taken out
+    of the ``lanes_<kernel>`` rate.
     """
+    import math
+
     import numpy as np
 
     from repro.bench.harness import measure_throughput, time_callable
@@ -290,9 +312,22 @@ def run_calibration(
         lambda: parallel_sfa_run(sfa, small, 1, kernel="vector"),
         len(small), repeat,
     )
-    rates["lockstep"] = measure_throughput(
-        lambda: lockstep_run(sfa, small, 8), len(small), repeat
-    )
+    steps = classes[:8192]
+    lockstep_run(sfa, steps, 1)  # builds the lane table
+    step_s = time_callable(
+        lambda: lockstep_run(sfa, steps, 1), repeat + 1
+    ) / len(steps)
+    for kernel in ("stride2", "stride4"):
+        lanes = math.isqrt(len(classes) // int(kernel[-1]))
+        lockstep_run(sfa, classes, lanes, kernel)  # builds the tables
+        lane_s = time_callable(
+            lambda k=kernel, g=lanes: lockstep_run(sfa, classes, g, k), repeat
+        )
+        # The steps' share comes off; on a noisy tiny sample it is capped
+        # so the rate never exceeds 4x the whole scan's.
+        rates[f"lanes_{kernel}"] = sample_bytes / 1e6 / max(
+            lane_s - lanes * step_s, lane_s / 4
+        )
     rates["transform_python"] = measure_throughput(
         lambda: speculative_run(dfa, small, 2, kernel="python"),
         len(small), repeat,
@@ -305,7 +340,7 @@ def run_calibration(
         lambda: pattern.count(data, plan=Plan()), sample_bytes, repeat
     )
 
-    dispatch: Dict[str, float] = {}
+    dispatch: Dict[str, float] = {"lane_step": step_s * 1e3}
     if measure_executors:
         from repro.parallel.executor import get_shared_executor
 
@@ -330,5 +365,5 @@ def run_calibration(
         created=time.time(),
         source="measured",
         mb_per_s={k: round(v, 3) for k, v in rates.items()},
-        dispatch_ms={k: round(v, 4) for k, v in dispatch.items()},
+        dispatch_ms={k: round(v, 6) for k, v in dispatch.items()},
     )

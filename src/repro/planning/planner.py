@@ -15,6 +15,11 @@ the GIL-bound scalar kernels; processes scale at ~85% efficiency), and
 ``build`` charges one-time construction (D-SFA, stride tables) only when
 the subject has not already built it — a warm pattern plans differently
 from a cold one, which is exactly the Table III amortization story.
+Lane plans (the lockstep engine over ``⌊√m⌋`` NumPy lanes, offered for
+acceptance scans from :data:`LANE_ACCEPT_MIN` bytes) have no executor
+and add the fixed cost of their ``⌊√m⌋`` lane steps instead:
+
+    t(lanes) = n / rate(lanes_<kernel>) + ⌊√m⌋ · lane_step + build
 
 Two hard guards sit on top of the arithmetic:
 
@@ -27,11 +32,12 @@ Two hard guards sit on top of the arithmetic:
 
 Empty/tiny inputs short-circuit to a serial plan **before** any
 calibration access, so a 10-byte ``repro grep`` neither reads nor creates
-cache files.
+cache files; that plan is built once per task and reused.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from typing import Dict, List, Optional, Tuple
@@ -49,6 +55,15 @@ PARALLEL_MIN_BYTES = 1 << 20
 
 #: Modelled scaling efficiency of one extra process worker.
 PROCESS_EFFICIENCY = 0.85
+
+#: Acceptance scans of fewer bytes than this are not offered lane plans.
+#: Measured crossover of ``lockstep/strideS`` with ``⌊√m⌋`` lanes against
+#: the single-state ``sfa/strideS/p1`` loop on the accept benchmark's
+#: texts (2 vCPUs, NumPy 2.4, median of 15, two runs): at stride 4 lanes
+#: run 0.79-0.86x of the loop at 16 KiB, 0.89-1.00x at 24 KiB,
+#: 0.95-1.15x at 32 KiB and 1.14-1.34x at 48 KiB (r_5, r_50, fig10); at
+#: stride 2 (ids_cgi) they already run 1.04-1.10x at 16 KiB.
+LANE_ACCEPT_MIN = 32 << 10
 
 #: Stride-table compose rate (table entries per second) charged when a
 #: candidate needs a table the subject has not built yet.
@@ -79,8 +94,9 @@ class Planner:
     """Chooses a :class:`Plan` from the cost model above.
 
     Stateless apart from the injected calibration (lazily fetched via
-    :func:`~repro.planning.calibration.get_calibration` when not given)
-    and a plan counter; one process-wide instance serves all entry points
+    :func:`~repro.planning.calibration.get_calibration` when not given),
+    a plan counter and the one serial plan per task it returns for tiny
+    inputs; one process-wide instance serves all entry points
     (:func:`get_planner`).
     """
 
@@ -92,6 +108,7 @@ class Planner:
         self._calibration = calibration
         self.cpu_count = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
         self.plans_made = 0
+        self._tiny_plans: Dict[str, Plan] = {}
 
     def calibration(self) -> Calibration:
         if self._calibration is not None:
@@ -122,9 +139,12 @@ class Planner:
         if n < 0:
             n = PARALLEL_MIN_BYTES  # nominal size for unbounded streams
         if n < TINY_INPUT_BYTES:
-            return self._serial_plan(
-                task, reason=f"n={n} < {TINY_INPUT_BYTES}: serial reference scan"
-            )
+            plan = self._tiny_plans.get(task)
+            if plan is None:
+                plan = self._tiny_plans[task] = self._serial_plan(
+                    task, f"n < {TINY_INPUT_BYTES}: serial reference scan"
+                )
+            return plan
         cal = self.calibration()
         candidates = self._candidates(task, n, subject, cal)
         best_t, best = min(candidates, key=lambda c: c[0])
@@ -179,8 +199,10 @@ class Planner:
         if task == "spans":
             return self._span_candidates(n, cal)
         # "multi" and "stream" both reduce to a serial block scan whose
-        # kernel is the only real choice (chunking helps neither on one
-        # core, and the lockstep fold is ~20× slower than the scalar loop).
+        # kernel is the only real choice.  Lanes are not offered: they
+        # scan the D-SFA, which for a ruleset's union is often far larger
+        # than the union DFA the one-chunk scan walks, and the planner
+        # does not price that build by size.
         return self._blockscan_candidates(task, n, subject, cal, strides)
 
     def _acceptance_candidates(
@@ -204,6 +226,21 @@ class Planner:
                 + self._stride_build_s(subject, stride)
             )
             out.append((t, Plan(engine="sfa", kernel=kernel, num_chunks=1)))
+            if n >= LANE_ACCEPT_MIN:
+                # Algorithm 5 over ⌊√m⌋ in-process lanes of m packed
+                # symbols: ⌊√m⌋ steps of fixed NumPy dispatch, each
+                # advancing every lane.
+                lanes = math.isqrt(n // stride)
+                t = (
+                    mb / cal.rate(f"lanes_{kernel}")
+                    + lanes * cal.dispatch_s("lane_step")
+                    + sfa_build
+                    + self._stride_build_s(subject, stride)
+                )
+                out.append((
+                    t,
+                    Plan(engine="lockstep", kernel=kernel, num_chunks=lanes),
+                ))
         # NOTE: "vector" is deliberately absent — the all-states gather is
         # the 0.067× regime on acceptance scans (satellite guard; pinned
         # by tests/test_plan.py on the bench_kernels workload).

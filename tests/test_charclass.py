@@ -1,5 +1,7 @@
 """Unit tests for CharSet and ByteClassPartition."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.regex.charclass import (
     DIGIT,
     SPACE,
+    TRANSLATE_SLICE,
     WORD,
     ByteClassPartition,
     CharSet,
@@ -160,6 +163,40 @@ class TestByteClassPartition:
             int(p.classmap[ord("b")]),
             int(p.classmap[ord("z")]),
         ]
+
+    @pytest.mark.parametrize("wrap, size", [
+        (wrap, size)
+        for wrap in ("bytes", "bytearray", "memoryview", "strided", "mmap",
+                     "ndarray")
+        for size in (0, 1, 1000, 2 * TRANSLATE_SLICE + 5)
+        if (wrap, size) != ("mmap", 0)  # an empty file cannot be mapped
+    ])
+    def test_translate_every_buffer_type(self, tmp_path, wrap, size):
+        # every input type gives classmap[arr]; only bytes input is read-only
+        p = ByteClassPartition([DIGIT, WORD, CharSet.from_str("\n")])
+        raw = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+        expect = p.classmap[raw]
+        if wrap == "mmap":
+            path = tmp_path / "input.bin"
+            path.write_bytes(raw.tobytes())
+            with open(path, "rb") as fh, mmap.mmap(
+                fh.fileno(), 0, access=mmap.ACCESS_READ
+            ) as mm:
+                out = p.translate(mm)
+                mm.close()  # no buffer export outlives the call
+        else:
+            data = {
+                "bytes": raw.tobytes,
+                "bytearray": lambda: bytearray(raw.tobytes()),
+                "memoryview": lambda: memoryview(raw.tobytes()),
+                "strided": lambda: memoryview(np.repeat(raw, 2).tobytes())[::2],
+                "ndarray": lambda: raw,
+            }[wrap]()
+            out = p.translate(data)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, expect)
+        if wrap == "bytes":
+            assert not out.flags.writeable
 
     def test_classes_of_exact(self):
         p = ByteClassPartition([DIGIT])

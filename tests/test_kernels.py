@@ -7,21 +7,27 @@ per-byte loop, and the stream matchers agree with whole-input matching
 under arbitrary blockings.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.dfa import DFA
+from repro.automata.nfa import NFA
+from repro.automata.sfa import correspondence_construction
 from repro.automata.stride import StrideTable, build_stride_table
 from repro.errors import AutomatonError, MatchEngineError
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.speculative import speculative_run
 from repro.matching.stream import ParallelStreamMatcher, StreamMatcher
-from repro.parallel.chunking import clamp_chunks
+from repro.parallel.chunking import clamp_chunks, lockstep_layout
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.parallel.scan import (
     KERNELS,
+    lane_table,
     run_scan,
     sfa_scan,
     sfa_scan_vector,
@@ -30,6 +36,8 @@ from repro.parallel.scan import (
 )
 from repro.planning.plan import Plan
 from repro.regex.charclass import pack_stride
+from repro.workloads.patterns import rn_pattern
+from repro.workloads.textgen import rn_accepted_text
 
 from .conftest import compiled
 
@@ -104,6 +112,36 @@ class TestStrideTable:
                 sym //= k
             decoded.extend(reversed(digits))
         assert decoded + tail.tolist() == classes.tolist()
+
+
+    @staticmethod
+    def _pack_int32_reference(classes, k, stride):
+        """``pack_stride`` as it was: an int32 (int64 past 2**31)
+        accumulator, narrowed to uint8 afterwards when k**stride <= 256."""
+        m = len(classes) // stride
+        body = classes[: m * stride]
+        width = k**stride
+        acc = body[0::stride].astype(np.int64 if width > 2**31 else np.int32)
+        for j in range(1, stride):
+            acc *= k
+            acc += body[j::stride]
+        return acc, classes[m * stride:]
+
+    @pytest.mark.parametrize("k", [1, 3, 16, 17, 255, 256])
+    @pytest.mark.parametrize("stride", [2, 4])
+    @pytest.mark.parametrize("tail", [0, 1, 3])
+    def test_pack_stride_matches_int32_accumulator(self, k, stride, tail):
+        rng = np.random.default_rng(k * 10 + stride)
+        classes = rng.integers(0, k, size=64 * stride + tail).astype(np.uint8)
+        classes[:stride] = k - 1  # the largest symbol, k**stride - 1
+        packed, rest = pack_stride(classes, k, stride)
+        ref, ref_rest = self._pack_int32_reference(classes, k, stride)
+        np.testing.assert_array_equal(packed, ref)
+        np.testing.assert_array_equal(rest, ref_rest)
+        width = k**stride
+        expect = (np.uint8 if width <= 256 else np.uint16 if width <= 65536
+                  else np.int64 if width > 2**31 else np.int32)
+        assert packed.dtype == expect
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +232,116 @@ def test_lockstep_kernels_agree(data, p, pattern):
         res = lockstep_run(m.sfa, classes, p, kernel=kernel)
         assert res.accepted == base.accepted
         assert res.final_states == base.final_states
+
+
+def _random_dsfa(seed: int, n: int, k: int):
+    rng = np.random.default_rng(seed)
+    dfa = DFA(rng.integers(0, n, size=(n, k)), 0, rng.random(n) < 0.5)
+    return correspondence_construction(dfa), dfa
+
+
+def _random_nsfa(seed: int, n: int, k: int):
+    rng = np.random.default_rng(seed)
+    trans = [[int(rng.integers(0, 1 << n)) for _ in range(k)] for _ in range(n)]
+    nfa = NFA(n, k, trans, 1, int(rng.integers(1, 1 << n)))
+    return correspondence_construction(nfa), nfa
+
+
+def _chunk_states_reference(sfa, classes, p, kernel):
+    """Per-chunk :func:`sfa_scan` (the python loop) over the chunks the
+    lockstep engine lays out: equal chunks of the packed stream, the
+    ``< p`` tail on the last one, then the ``< stride`` leftover on the
+    base table."""
+    table, packed, leftover = sfa.table, classes, classes[:0]
+    if kernel != "python":
+        st = sfa.stride_table(int(kernel[-1]))
+        table = st.table
+        packed, leftover = st.pack(classes)
+    p = clamp_chunks(len(packed), p)
+    block, tail = lockstep_layout(packed, p)
+    states = [sfa_scan(table, sfa.initial, block[:, i]) for i in range(p)]
+    states[-1] = sfa_scan(table, states[-1], tail)
+    states[-1] = sfa_scan(sfa.table, states[-1], leftover)
+    return states, len(block) + len(tail) + len(leftover)
+
+
+class TestLaneLockstep:
+    """The lockstep engine over narrow, cached lane tables against the
+    references: the serial automaton's verdict, ``parallel_sfa_run``'s
+    final states (both independent of the chunking) and a per-chunk
+    python loop over the same chunks."""
+
+    LENGTHS = (0, 1, 2, 3, 5, 17, 64, 255, 1001, 1002, 1003, 1004)
+
+    def _check(self, sfa, accepts, classes, kernel):
+        n = len(classes)
+        final = parallel_sfa_run(sfa, classes, 3).final_states
+        for p in sorted({1, 2, max(1, math.isqrt(n)), max(1, n), n + 3}):
+            res = lockstep_run(sfa, classes, p, kernel)
+            states, steps = _chunk_states_reference(sfa, classes, p, kernel)
+            assert res.accepted == accepts, (kernel, p)
+            assert res.final_states == final, (kernel, p)
+            assert res.chunk_states == states, (kernel, p)
+            assert res.steps == steps, (kernel, p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kernel", ("python", "stride2", "stride4"))
+    def test_random_dsfa(self, seed, kernel):
+        sfa, dfa = _random_dsfa(seed, 3 + seed % 2, 2 + seed % 2)
+        rng = np.random.default_rng(seed)
+        for n in self.LENGTHS:
+            classes = rng.integers(0, dfa.num_classes, size=n).astype(np.uint8)
+            self._check(sfa, dfa.accepts_classes(classes), classes, kernel)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kernel", ("python", "stride2", "stride4"))
+    def test_random_nsfa(self, seed, kernel):
+        sfa, nfa = _random_nsfa(seed, 3, 2)
+        assert sfa.kind == "N-SFA"
+        rng = np.random.default_rng(seed)
+        for n in self.LENGTHS:
+            classes = rng.integers(0, 2, size=n).astype(np.uint8)
+            self._check(sfa, nfa.accepts_classes(classes), classes, kernel)
+
+    @pytest.mark.parametrize("pattern, kernel, dtype, text", [
+        ("(ab)*", "python", np.uint8, b"ab" * 50),
+        (rn_pattern(5), "stride4", np.uint16, rn_accepted_text(5, 4099, seed=3)),
+        (rn_pattern(50), "stride4", np.uint32, rn_accepted_text(50, 4099, seed=3)),
+    ], ids=["uint8", "uint16", "uint32"])
+    def test_lane_table_dtypes(self, pattern, kernel, dtype, text):
+        m = compiled(pattern)
+        owner = m.sfa if kernel == "python" else m.sfa.stride_table(4)
+        classes = m.translate(text)
+        self._check(m.sfa, m.fullmatch(text, plan=Plan()), classes, kernel)
+        lanes = lane_table(owner)
+        assert lanes.dtype == dtype
+        assert lane_table(owner) is lanes  # built once, kept on its owner
+        np.testing.assert_array_equal(
+            lanes, owner.table.astype(np.int64).ravel() * owner.table.shape[1]
+        )
+
+    def test_wide_symbol_streams(self):
+        # class streams wider than the lane table's dtype are cast, exactly
+        m = compiled("(a|b)*abb")
+        classes = m.translate(b"ab" * 40 + b"abb")
+        for kernel in ("python", "stride2", "stride4"):
+            for dt in (np.int32, np.int64):
+                res = lockstep_run(m.sfa, classes.astype(dt), 9, kernel)
+                ref = lockstep_run(m.sfa, classes, 9, kernel)
+                assert res == ref
+
+    def test_no_boxed_stride_list(self):
+        # the < p tail and the < stride leftover walk arrays: the engine
+        # builds no boxed-int list of the (large) stride table
+        from repro import compile_pattern
+        from repro.parallel.scan import _FLAT_CACHE
+
+        m = compile_pattern(rn_pattern(5))  # fresh tables, nothing cached
+        st = m.sfa.stride_table(4)
+        classes = m.translate(rn_accepted_text(5, 10_003, seed=4))
+        lockstep_run(m.sfa, classes, 7, "stride4")
+        hit = _FLAT_CACHE.get(id(st.table))
+        assert hit is None or hit[0]() is not st.table
 
 
 class TestKernelEdgeCases:

@@ -18,6 +18,7 @@ Four contracts pinned here:
 """
 
 import json
+import math
 import random
 import time
 
@@ -47,7 +48,12 @@ from repro.planning.calibration import (
     save_calibration,
 )
 from repro.planning.plan import Plan, resolve_plan
-from repro.planning.planner import TINY_INPUT_BYTES, Planner, set_planner
+from repro.planning.planner import (
+    LANE_ACCEPT_MIN,
+    TINY_INPUT_BYTES,
+    Planner,
+    set_planner,
+)
 from repro.workloads.patterns import rn_pattern
 from repro.workloads.textgen import rn_accepted_text
 
@@ -217,14 +223,38 @@ class TestPlannerChoices:
 
     def test_auto_picks_stride4_sfa_when_warm(self):
         # Regression pin: on the bench_kernels workload (r_5, 2 MB) the
-        # warmed cost picture must choose the measured-fastest combo.
+        # warmed cost picture must choose the measured-fastest combo:
+        # Algorithm 5 on the stride-4 SFA table, in ⌊√m⌋ lanes (measured
+        # on 2 CPUs; the process plan is modelled, not measured, beyond).
         m = _warm(rn_pattern(5))
-        plan = Planner(calibration=DEFAULT_CALIBRATION).plan(
+        plan = Planner(calibration=DEFAULT_CALIBRATION, cpu_count=2).plan(
             "fullmatch", 2_000_000, subject=m
         )
-        assert (plan.engine, plan.kernel) == ("sfa", "stride4")
+        assert (plan.engine, plan.kernel) == ("lockstep", "stride4")
+        assert plan.num_chunks == math.isqrt(2_000_000 // 4)
         assert plan.source == "auto"
         assert plan.reason
+
+    def test_lanes_above_the_crossover_only(self):
+        planner = Planner(calibration=DEFAULT_CALIBRATION, cpu_count=2)
+        m = _warm(rn_pattern(5))
+        for n in (2_000_000, 8_000_000):
+            plan = planner.plan("fullmatch", n, subject=m)
+            assert plan.summary() == (
+                f"lockstep/p{math.isqrt(n // 4)}/inline/stride4"
+            ), plan.reason
+        # below the crossover: what the planner chose before lanes existed
+        plan = planner.plan("fullmatch", LANE_ACCEPT_MIN - 1, subject=m)
+        assert plan.summary() == "sfa/p1/inline/stride4", plan.reason
+        # ... because lanes are not offered there, however cheap they look
+        cal = Calibration(
+            cpu_count=2, source="measured", created=time.time(),
+            mb_per_s={"lanes_stride2": 1e6, "lanes_stride4": 1e6},
+            dispatch_ms={"lane_step": 0.0},
+        )
+        fast = Planner(calibration=cal, cpu_count=2)
+        assert fast.plan("fullmatch", LANE_ACCEPT_MIN, subject=m).engine == "lockstep"
+        assert fast.plan("fullmatch", LANE_ACCEPT_MIN - 1, subject=m).engine != "lockstep"
 
     def test_never_slower_than_python_guard(self):
         # Pathological calibration claiming strides are SLOWER than the
@@ -232,7 +262,8 @@ class TestPlannerChoices:
         cal = Calibration(
             cpu_count=1, source="measured", created=time.time(),
             mb_per_s={"dfa_python": 30.0, "sfa_python": 5.0,
-                      "sfa_stride2": 1.0, "sfa_stride4": 1.0},
+                      "sfa_stride2": 1.0, "sfa_stride4": 1.0,
+                      "lanes_stride2": 1.0, "lanes_stride4": 1.0},
         )
         m = _warm(rn_pattern(5))
         plan = Planner(calibration=cal).plan("fullmatch", 2_000_000, subject=m)
@@ -262,19 +293,28 @@ class TestPlannerChoices:
         import repro.matching.engine as eng
 
         calls = []
-        real = eng.parallel_sfa_run
+        real = eng.lockstep_run
 
         def spy(*a, **kw):
             calls.append(1)
             return real(*a, **kw)
 
-        monkeypatch.setattr(eng, "parallel_sfa_run", spy)
+        monkeypatch.setattr(eng, "lockstep_run", spy)
+        set_planner(Planner(calibration=DEFAULT_CALIBRATION, cpu_count=2))
         m = _warm(rn_pattern(5))
-        text = rn_accepted_text(5, 100_000, seed=1)
+        text = rn_accepted_text(5, 2_000_000, seed=1)
         assert m.fullmatch(text, plan=Plan(engine="dfa"))  # explicit plan
         assert not calls
-        assert m.fullmatch(text, plan="auto")  # warm auto picks the SFA
+        assert m.fullmatch(text, plan="auto")  # warm auto picks the lanes
         assert calls
+
+    def test_tiny_inputs_share_one_plan(self):
+        planner = Planner()
+        first = planner.plan("contains", 10)
+        assert planner.plan("contains", TINY_INPUT_BYTES - 1) is first
+        assert planner.plans_made == 2
+        assert "n=" not in first.reason
+        assert planner.plan("spans", 10) is not first
 
     def test_auto_falls_back_serial_on_state_explosion(self):
         # A pattern whose SFA construction explodes must still answer
@@ -288,6 +328,9 @@ class TestPlannerChoices:
             m.fullmatch(text, plan=Plan(engine="sfa"))
         assert m.fullmatch(text, plan=Plan(
             engine="sfa", kernel="python", source="auto"
+        )) == m.fullmatch(text, plan=Plan(engine="dfa"))
+        assert m.fullmatch(text, plan=Plan(  # an auto lane plan, likewise
+            engine="lockstep", kernel="stride4", num_chunks=38, source="auto"
         )) == m.fullmatch(text, plan=Plan(engine="dfa"))
 
 
