@@ -86,10 +86,23 @@ class DFA:
         width = 256 if expanded else self.num_classes
         return self.num_states * width * 4
 
+    def absorbing_mask(self) -> np.ndarray:
+        """States with only self-loops: the dead state, an accepting sink.
+
+        A run that enters one never leaves it, so it decides the verdict.
+        """
+        return (self.table == np.arange(self.num_states)[:, None]).all(axis=1)
+
     def trap_states(self) -> np.ndarray:
         """Non-accepting states with only self-loops (explicit fail sinks)."""
-        self_loop = (self.table == np.arange(self.num_states)[:, None]).all(axis=1)
-        return np.nonzero(self_loop & ~self.accept)[0]
+        return np.nonzero(self.absorbing_mask() & ~self.accept)[0]
+
+    def sync_fact(self) -> "SyncFact":
+        """:func:`synchronization_fact` of this DFA, computed once and kept."""
+        fact = getattr(self, "_sync_fact", None)
+        if fact is None:
+            fact = self._sync_fact = synchronization_fact(self)
+        return fact
 
     @property
     def partial_size(self) -> int:
@@ -168,6 +181,85 @@ class DFA:
             f"DFA(states={self.num_states}, classes={self.num_classes}, "
             f"accepting={int(self.accept.sum())})"
         )
+
+
+# ---------------------------------------------------------------------------
+# Synchronization (DESIGN.md §3.1)
+# ---------------------------------------------------------------------------
+
+#: :func:`synchronization_fact` is not run on DFAs whose live-state pairs
+#: times classes exceed this; they count as not synchronizing.
+SYNC_PAIR_CAP = 1 << 21
+
+
+@dataclass(frozen=True)
+class SyncFact:
+    """Whether a DFA's runs from different states resolve into one.
+
+    ``holds`` when every pair of *live* (non-absorbing) states is driven
+    by some word to one live state, or to a pair of which exactly one
+    state is absorbing (that run is decided; the other survives).  Then
+    some word brings the runs from all live states down to at most one
+    live state: the reset-word structure of synchronizing automata.
+    ``depth`` is the longest of the pairs' shortest such words (``None``
+    unless ``holds``); ``tested`` is ``False`` when the DFA was over
+    :data:`SYNC_PAIR_CAP` and the test was not run.
+    """
+
+    holds: bool
+    live: int
+    depth: Optional[int]
+    tested: bool = True
+
+    def describe(self) -> str:
+        """One clause for a plan's reason."""
+        if self.holds:
+            return (f"DFA synchronizes: {self.live} live states, "
+                    f"resolving depth {self.depth}")
+        if not self.tested:
+            return (f"synchronization not tested: {self.live} live states "
+                    f"over the pair cap")
+        return f"DFA does not synchronize ({self.live} live states)"
+
+
+def synchronization_fact(dfa: DFA) -> SyncFact:
+    """The pair test behind :class:`SyncFact`: a backward BFS over pairs.
+
+    Level ``d`` resolves the pairs one letter away from a pair resolved
+    at level ``d - 1``; level 0 holds the resolved pairs themselves.
+    Each level costs one gather per class over the still-unresolved
+    pairs, ``O(|Q|²·k)`` per level, and the work is capped at
+    ``16 ·`` :data:`SYNC_PAIR_CAP` pair steps.
+    """
+    table = dfa.table
+    n, k = table.shape
+    absorbing = dfa.absorbing_mask()
+    live = np.flatnonzero(~absorbing)
+    count = len(live)
+    if count <= 1:
+        return SyncFact(True, count, 0)
+    if count * count * k > SYNC_PAIR_CAP:
+        return SyncFact(False, count, None, tested=False)
+    resolved = absorbing[:, None] ^ absorbing[None, :]
+    resolved[live, live] = True
+    i, j = np.triu_indices(count, 1)
+    a, b = live[i], live[j]
+    cols = table.T
+    depth, work = 0, 0
+    while len(a):
+        work += len(a) * k
+        if work > 16 * SYNC_PAIR_CAP:
+            return SyncFact(False, count, None, tested=False)
+        hit = np.zeros(len(a), dtype=bool)
+        for col in cols:
+            hit |= resolved[col[a], col[b]]
+        if not hit.any():
+            return SyncFact(False, count, None)
+        depth += 1
+        resolved[a[hit], b[hit]] = True
+        resolved[b[hit], a[hit]] = True
+        a, b = a[~hit], b[~hit]
+    return SyncFact(True, count, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -833,6 +833,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """
     import json
 
+    from repro.automata.stride import best_stride_table
     from repro.planning.calibration import calibration_path, get_calibration
     from repro.planning.planner import get_planner
 
@@ -840,7 +841,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     # ``contains`` scans (and plans against) the containment automaton
     subject = m.search_pattern() if args.task == "contains" else m
     if args.warm:
-        subject.sfa  # build the scan artifacts: the steady-state plan
+        # Build what the auto plan scans, for the steady-state plan: an
+        # acceptance scan runs on the DFA's stride table when the DFA
+        # synchronizes, else on the D-SFA's.
+        if args.task in ("fullmatch", "contains"):
+            scanned = subject.min_dfa
+            if not scanned.sync_fact().holds:
+                scanned = subject.sfa
+            best_stride_table(scanned, 4)
+        else:
+            subject.sfa
         m.span_engine()
     p = get_planner().plan(args.task, args.size, subject=subject)
     cal = get_calibration()
@@ -1233,7 +1243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1 << 20,
                    help="input length in bytes the plan is for")
     p.add_argument("--warm", action="store_true",
-                   help="build the pattern's scan artifacts first, so the "
+                   help="build the pattern's scan artifacts first (for "
+                   "fullmatch/contains the DFA's stride table, and the "
+                   "D-SFA's when the DFA does not synchronize), so the "
                    "plan is the steady-state (amortized) one")
     p.add_argument("--json", action="store_true",
                    help="dump plan + calibration provenance as JSON")

@@ -4,7 +4,8 @@ One module per algorithm in the paper:
 
 * :mod:`repro.matching.sequential` — Algorithm 2, the sequential DFA run.
 * :mod:`repro.matching.speculative` — Algorithm 3, prior-work parallel DFA
-  via speculative all-states simulation (the ``O(|D|·n/p)`` baseline).
+  via speculative all-states simulation (the ``O(|D|·n/p)`` baseline), and
+  its in-process form over NumPy lanes whose runs collapse into one state.
 * :mod:`repro.matching.parallel_sfa` — Algorithm 5, parallel SFA matching
   with sequential or tree reduction.
 * :mod:`repro.matching.lockstep` — the data-parallel SIMD-style realization

@@ -26,7 +26,7 @@ from repro.errors import MatchEngineError, StateExplosionError
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.sequential import SequentialDFAMatcher
-from repro.matching.speculative import speculative_run
+from repro.matching.speculative import speculative_run, sync_lanes_run
 from repro.parallel.executor import ChunkExecutor, caller_executor
 from repro.planning.plan import AUTO, Plan, PlanArg, resolve_plan
 from repro.regex.ast import Concat, Literal, Node, Star
@@ -169,7 +169,10 @@ class CompiledPattern:
         * ``executor`` — chunk-dispatch backend name for the chunked
           engines (``"sfa"``/``"speculative"``), resolved to a warm
           process-wide pool of ``num_workers`` workers.  The single-scan
-          engines (``"dfa"``, ``"lockstep"``) ignore it;
+          engines (``"dfa"``, ``"lockstep"``) ignore it, and without one
+          ``"speculative"`` runs Algorithm 3 in NumPy lanes of the
+          minimal DFA (DESIGN.md §3.1); lanes that do not resolve build
+          the D-SFA under an auto plan and run chunk by chunk otherwise;
         * ``kernel`` ∈ {"python", "stride2", "stride4", "vector"} — the
           chunk-scan kernel (DESIGN.md §3.5) for the ``speculative``,
           ``sfa`` and ``lockstep`` engines; the stride kernels precompose
@@ -212,6 +215,16 @@ class CompiledPattern:
                 )
             # Resolve lazily: the single-scan engines must not spin up a pool.
             if p.engine == "speculative":
+                if ex_instance is None and p.executor is None:
+                    # Lanes that do not resolve hand over to the D-SFA
+                    # only under an auto plan, which would have built it
+                    # anyway; an explicit plan never builds one and runs
+                    # chunk by chunk as speculative_run, in O(|D|) memory.
+                    auto = p.source == "auto"
+                    return sync_lanes_run(
+                        self.min_dfa, classes, p.num_chunks, p.kernel,
+                        handover=(lambda: self.sfa) if auto else None,
+                    ).accepted
                 return speculative_run(
                     self.min_dfa, classes, p.num_chunks, p.reduction,
                     ex_instance or p.resolve_executor(), p.kernel,

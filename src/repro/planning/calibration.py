@@ -34,7 +34,10 @@ from typing import Dict, Optional
 #: Bump when the JSON shape or the meaning of a measurement changes.
 #: v2: the ``lockstep`` rate (8 chunks) gave way to the lane rates
 #: ``lanes_stride2``/``lanes_stride4`` and the ``lane_step`` overhead.
-CALIBRATION_VERSION = 2
+#: v3: only what the planner reads is measured — ``sfa_vector``,
+#: ``transform_python``, ``transform_vector`` and the ``threads``
+#: dispatch are gone — and ``sync_entry`` prices synchronizing lanes.
+CALIBRATION_VERSION = 3
 
 #: A calibration older than this is considered stale and ignored.
 MAX_AGE_SECONDS = 30 * 24 * 3600
@@ -50,12 +53,14 @@ class Calibration:
 
     ``mb_per_s`` keys are ``<scan>_<kernel>`` rate names (missing keys
     fall back to :data:`DEFAULT_CALIBRATION`'s value via :meth:`rate`);
-    ``dispatch_ms`` is the per-call overhead of handing chunks to an
-    executor backend (pool submit + result collection; for processes
-    also the shared-memory publish of the payload), plus ``"lane_step"``,
-    the fixed cost of one lockstep lane step (two NumPy calls), which a
-    lane scan of ``m`` symbols pays ``⌊√m⌋`` times on top of its
-    ``lanes_<kernel>`` per-byte rate.
+    ``dispatch_ms`` is the per-call overhead of handing chunks to the
+    ``"processes"`` executor (pool submit + result collection + the
+    shared-memory publish of the payload), plus two lane costs:
+    ``"lane_step"``, the fixed cost of one lockstep lane step (two NumPy
+    calls), which a lane scan of ``m`` symbols pays ``⌊√m⌋`` times on top
+    of its ``lanes_<kernel>`` per-byte rate; and ``"sync_entry"``, the
+    cost per run the planner expects synchronizing lanes to collapse
+    (``(⌊√m⌋ - 1) · live · ⌈depth / stride⌉`` of them).
     """
 
     version: int = CALIBRATION_VERSION
@@ -74,7 +79,8 @@ class Calibration:
 
     def dispatch_s(self, executor: Optional[str]) -> float:
         """Per-call dispatch overhead in seconds for an executor backend
-        (per lane step for ``"lane_step"``)."""
+        (per lane step for ``"lane_step"``, per estimated collapsing run
+        for ``"sync_entry"``)."""
         if executor in (None, "serial"):
             return 0.0
         ms = self.dispatch_ms.get(executor)
@@ -88,15 +94,18 @@ class Calibration:
 
 #: Reference-container rates (BENCH_results.json history, PR 4–6): the
 #: stride-4 SFA scan sustains ~150 MB/s against ~54 MB/s for the python
-#: per-byte loop; the vector kernel is a 15× *slowdown* on acceptance
-#: scans (0.067×) but ~35× on speculative transform scans.  The lane
-#: entries are the medians of three :func:`run_calibration` runs on a
-#: 2-vCPU host (Python 3.11.7, NumPy 2.4.6): the lockstep engine
-#: (Algorithm 5 over ``⌊√m⌋`` NumPy lanes) packs, lays out and steps
-#: stride-4 input at 295–327 MB/s and stride-2 at 235–257 MB/s, plus
-#: 2.5–2.6 µs per lane step.  The same runs put ``sfa_stride4`` at only
-#: 66–73 MB/s, so beside the older entries above the lane entries are
-#: conservative.
+#: per-byte loop.  The lane entries are the medians of three
+#: :func:`run_calibration` runs on a 2-vCPU host (Python 3.11.7, NumPy
+#: 2.4.6): the lockstep engine (Algorithm 5 over ``⌊√m⌋`` NumPy lanes)
+#: packs, lays out and steps stride-4 input at 295–327 MB/s and stride-2
+#: at 235–257 MB/s, plus 2.5–2.6 µs per lane step.  The same runs put
+#: ``sfa_stride4`` at only 66–73 MB/s, so beside the older entries above
+#: the lane entries are conservative.
+#: Milliseconds per estimated collapsing run (see :class:`Calibration`):
+#: the median of three :func:`run_calibration` runs on the host above,
+#: which measured 10.6–13.4 ns.
+SYNC_ENTRY_MS = 1.26e-5
+
 DEFAULT_CALIBRATION = Calibration(
     version=CALIBRATION_VERSION,
     cpu_count=os.cpu_count() or 1,
@@ -107,14 +116,11 @@ DEFAULT_CALIBRATION = Calibration(
         "sfa_python": 54.0,
         "sfa_stride2": 95.0,
         "sfa_stride4": 149.0,
-        "sfa_vector": 3.6,
         "lanes_stride2": 245.0,
         "lanes_stride4": 320.0,
-        "transform_python": 2.0,
-        "transform_vector": 70.0,
         "spans_python": 25.0,
     },
-    dispatch_ms={"threads": 0.2, "processes": 2.2, "lane_step": 0.0026},
+    dispatch_ms={"processes": 2.2, "lane_step": 0.0026, "sync_entry": SYNC_ENTRY_MS},
 )
 
 
@@ -267,17 +273,17 @@ def run_calibration(
 
     Uses the Fig. 8 ``r_n`` pattern family (``(a|b)*a(a|b)^4``) so every
     kernel — including stride-4's 2-class superalphabet table — is
-    exercised on an automaton of realistic shape.  The vector rate is
-    measured on a smaller slice (it is 15× slower on acceptance scans;
-    that *is* the number we are measuring, no need to pay for it at full
-    length).
+    exercised on an automaton of realistic shape.  Only what a planner
+    candidate reads is measured (pinned by ``tests/test_plan.py``).
 
     Lanes are measured at the planner's lane count, ``⌊√m⌋`` lanes over
     ``m`` packed symbols.  A lane step costs a fixed NumPy dispatch plus
     per-lane work, so one rate measured at 1 MiB would understate lanes
     on larger inputs; the fixed part is measured on its own
     (``lane_step``: single-lane steps over a short slice) and taken out
-    of the ``lanes_<kernel>`` rate.
+    of the ``lanes_<kernel>`` rate.  ``sync_entry`` times synchronizing
+    lanes over a head of ``4 · CHECK_EVERY`` rows, where collapsing is
+    most of the work, per run the planner's estimate counts there.
     """
     import math
 
@@ -287,7 +293,7 @@ def run_calibration(
     from repro.matching.engine import compile_pattern
     from repro.matching.lockstep import lockstep_run
     from repro.matching.parallel_sfa import parallel_sfa_run
-    from repro.matching.speculative import speculative_run
+    from repro.matching.speculative import CHECK_EVERY, sync_lanes_run
     from repro.planning.plan import Plan
 
     pattern = compile_pattern("(a|b)*a(a|b){4}")
@@ -295,7 +301,6 @@ def run_calibration(
     data = rng.choice([ord("a"), ord("b")], size=sample_bytes).astype(np.uint8)
     data = data.tobytes()
     classes = pattern.partition.translate(data)
-    small = classes[: max(1, sample_bytes // 16)]
     sfa, dfa = pattern.sfa, pattern.min_dfa
 
     rates: Dict[str, float] = {}
@@ -308,10 +313,6 @@ def run_calibration(
             lambda k=kernel: parallel_sfa_run(sfa, classes, 1, kernel=k),
             sample_bytes, repeat,
         )
-    rates["sfa_vector"] = measure_throughput(
-        lambda: parallel_sfa_run(sfa, small, 1, kernel="vector"),
-        len(small), repeat,
-    )
     steps = classes[:8192]
     lockstep_run(sfa, steps, 1)  # builds the lane table
     step_s = time_callable(
@@ -328,19 +329,22 @@ def run_calibration(
         rates[f"lanes_{kernel}"] = sample_bytes / 1e6 / max(
             lane_s - lanes * step_s, lane_s / 4
         )
-    rates["transform_python"] = measure_throughput(
-        lambda: speculative_run(dfa, small, 2, kernel="python"),
-        len(small), repeat,
-    )
-    rates["transform_vector"] = measure_throughput(
-        lambda: speculative_run(dfa, classes, 2, kernel="vector"),
-        sample_bytes, repeat,
-    )
     rates["spans_python"] = measure_throughput(
         lambda: pattern.count(data, plan=Plan()), sample_bytes, repeat
     )
 
-    dispatch: Dict[str, float] = {"lane_step": step_s * 1e3}
+    fact = dfa.sync_fact()
+    lanes = math.isqrt(len(classes) // 4)
+    head = classes[: lanes * 4 * 4 * CHECK_EVERY]
+    sync_lanes_run(dfa, head, lanes, "stride4")  # builds the tables
+    sync_s = time_callable(
+        lambda: sync_lanes_run(dfa, head, lanes, "stride4"), repeat + 1
+    )
+    entries = max(1, (lanes - 1) * fact.live * -(-(fact.depth or 0) // 4))
+    dispatch: Dict[str, float] = {
+        "lane_step": step_s * 1e3,
+        "sync_entry": sync_s / entries * 1e3,
+    }
     if measure_executors:
         from repro.parallel.executor import get_shared_executor
 
@@ -348,16 +352,14 @@ def run_calibration(
         serial_s = time_callable(
             lambda: parallel_sfa_run(sfa, tiny, 2), repeat + 1
         )
-        for name in ("threads", "processes"):
-            ex = get_shared_executor(name)
-            try:
-                total = time_callable(
-                    lambda e=ex: parallel_sfa_run(sfa, tiny, 2, executor=e),
-                    repeat + 1,
-                )
-                dispatch[name] = max(0.0, (total - serial_s) * 1e3)
-            except Exception:
-                dispatch[name] = DEFAULT_CALIBRATION.dispatch_ms.get(name, 1.0)
+        ex = get_shared_executor("processes")
+        try:
+            total = time_callable(
+                lambda: parallel_sfa_run(sfa, tiny, 2, executor=ex), repeat + 1
+            )
+            dispatch["processes"] = max(0.0, (total - serial_s) * 1e3)
+        except Exception:
+            dispatch["processes"] = DEFAULT_CALIBRATION.dispatch_ms["processes"]
 
     return Calibration(
         version=CALIBRATION_VERSION,
@@ -365,5 +367,5 @@ def run_calibration(
         created=time.time(),
         source="measured",
         mb_per_s={k: round(v, 3) for k, v in rates.items()},
-        dispatch_ms={k: round(v, 6) for k, v in dispatch.items()},
+        dispatch_ms={k: round(v, 9) for k, v in dispatch.items()},
     )

@@ -15,11 +15,23 @@ the GIL-bound scalar kernels; processes scale at ~85% efficiency), and
 ``build`` charges one-time construction (D-SFA, stride tables) only when
 the subject has not already built it — a warm pattern plans differently
 from a cold one, which is exactly the Table III amortization story.
-Lane plans (the lockstep engine over ``⌊√m⌋`` NumPy lanes, offered for
-acceptance scans from :data:`LANE_ACCEPT_MIN` bytes) have no executor
-and add the fixed cost of their ``⌊√m⌋`` lane steps instead:
+Lane plans (``⌊√m⌋`` NumPy lanes over ``m`` packed symbols, offered
+for acceptance scans from :data:`LANE_ACCEPT_MIN` bytes) have no
+executor and add the fixed cost of their ``⌊√m⌋`` lane steps instead:
 
     t(lanes) = n / rate(lanes_<kernel>) + ⌊√m⌋ · lane_step + build
+
+Above that gate the planner builds the subject's minimal DFA (every
+acceptance candidate scans it or compiles the D-SFA from it) and reads
+its synchronization fact (:meth:`~repro.automata.dfa.DFA.sync_fact`).
+Where the DFA synchronizes it offers Algorithm 3 in lanes of the DFA's
+own stride table (``speculative``, DESIGN.md §3.1), which builds no
+D-SFA but pays for collapsing every lane's runs into one:
+
+    t(speculative) = t(lanes) + (⌊√m⌋ - 1) · live · ⌈depth / s⌉ · sync_entry
+
+beside the ``lockstep`` lanes over the D-SFA, which stay the choice for
+automata that do not synchronize and wherever a built D-SFA is cheaper.
 
 Two hard guards sit on top of the arithmetic:
 
@@ -127,9 +139,13 @@ class Planner:
 
         ``subject`` (optional) is the compiled object to be scanned; the
         planner mines it for analysis facts, automaton sizes and
-        already-built artifacts but never triggers a build itself.
-        ``n < 0`` means "unknown length" (streaming): a nominal 1 MiB is
-        assumed.
+        already-built artifacts.  It builds one thing: for ``fullmatch``/
+        ``contains`` scans of at least :data:`LANE_ACCEPT_MIN` bytes, the
+        subject's minimal DFA and its synchronization fact, which every
+        acceptance candidate needs anyway (a DFA over the state budget
+        raises :class:`~repro.errors.StateExplosionError` here, as the scan
+        would).  ``n < 0`` means "unknown length" (streaming): a nominal
+        1 MiB is assumed.
         """
         if task not in TASKS:
             from repro.errors import MatchEngineError
@@ -146,7 +162,7 @@ class Planner:
                 )
             return plan
         cal = self.calibration()
-        candidates = self._candidates(task, n, subject, cal)
+        candidates, why = self._candidates(task, n, subject, cal)
         best_t, best = min(candidates, key=lambda c: c[0])
         return Plan(
             engine=best.engine,
@@ -158,7 +174,8 @@ class Planner:
             reduction=best.reduction,
             source="auto",
             reason=f"n={n}: {best.summary()} est {best_t * 1e3:.2f}ms "
-            f"over {len(candidates)} candidates ({self.cpu_count} cores)",
+            f"over {len(candidates)} candidates ({self.cpu_count} cores)"
+            + (f"; {why}" if why else ""),
         )
 
     def choose_backend(
@@ -192,22 +209,23 @@ class Planner:
 
     def _candidates(
         self, task: str, n: int, subject, cal: Calibration
-    ) -> List[Tuple[float, Plan]]:
+    ) -> Tuple[List[Tuple[float, Plan]], str]:
+        """The costed candidates, and a clause for the plan's reason."""
         strides = self._affordable_strides(subject)
         if task in ("fullmatch", "contains"):
             return self._acceptance_candidates(n, subject, cal, strides)
         if task == "spans":
-            return self._span_candidates(n, cal)
+            return self._span_candidates(n, cal), ""
         # "multi" and "stream" both reduce to a serial block scan whose
         # kernel is the only real choice.  Lanes are not offered: they
         # scan the D-SFA, which for a ruleset's union is often far larger
         # than the union DFA the one-chunk scan walks, and the planner
         # does not price that build by size.
-        return self._blockscan_candidates(task, n, subject, cal, strides)
+        return self._blockscan_candidates(task, n, subject, cal, strides), ""
 
     def _acceptance_candidates(
         self, n: int, subject, cal: Calibration, strides: List[int]
-    ) -> List[Tuple[float, Plan]]:
+    ) -> Tuple[List[Tuple[float, Plan]], str]:
         mb = n / 1e6
         out: List[Tuple[float, Plan]] = [
             # The "never slower than python" floor: Algorithm 2 on the
@@ -217,14 +235,13 @@ class Planner:
                 Plan(engine="dfa", kernel="python", num_chunks=1),
             )
         ]
+        dfa = self._lane_dfa(n, subject)
+        fact = dfa.sync_fact() if dfa is not None else None
         sfa_build = self._sfa_build_s(subject)
         for stride in strides:
             kernel = f"stride{stride}"
-            t = (
-                mb / cal.rate(f"sfa_{kernel}")
-                + sfa_build
-                + self._stride_build_s(subject, stride)
-            )
+            table_build = self._stride_build_s(subject, stride, d_sfa=True)
+            t = mb / cal.rate(f"sfa_{kernel}") + sfa_build + table_build
             out.append((t, Plan(engine="sfa", kernel=kernel, num_chunks=1)))
             if n >= LANE_ACCEPT_MIN:
                 # Algorithm 5 over ⌊√m⌋ in-process lanes of m packed
@@ -235,11 +252,32 @@ class Planner:
                     mb / cal.rate(f"lanes_{kernel}")
                     + lanes * cal.dispatch_s("lane_step")
                     + sfa_build
-                    + self._stride_build_s(subject, stride)
+                    + table_build
                 )
                 out.append((
                     t,
                     Plan(engine="lockstep", kernel=kernel, num_chunks=lanes),
+                ))
+        if fact is not None and fact.holds:
+            # Algorithm 3 in lanes of the DFA's own stride table: no D-SFA,
+            # but each lane first carries one run per live state until
+            # they collapse, about ⌈depth / stride⌉ rows.
+            for stride in self._fitting_strides(
+                dfa.num_states, dfa.num_classes, subject
+            ):
+                kernel = f"stride{stride}"
+                lanes = math.isqrt(n // stride)
+                rows = -(-(fact.depth or 0) // stride)
+                entries = (lanes - 1) * fact.live * rows
+                t = (
+                    mb / cal.rate(f"lanes_{kernel}")
+                    + lanes * cal.dispatch_s("lane_step")
+                    + entries * cal.dispatch_s("sync_entry")
+                    + self._table_build_s(dfa, stride)
+                )
+                out.append((
+                    t,
+                    Plan(engine="speculative", kernel=kernel, num_chunks=lanes),
                 ))
         # NOTE: "vector" is deliberately absent — the all-states gather is
         # the 0.067× regime on acceptance scans (satellite guard; pinned
@@ -252,14 +290,15 @@ class Planner:
                 mb / (cal.rate(f"sfa_{kernel}") * speedup)
                 + cal.dispatch_s("processes")
                 + sfa_build
-                + (self._stride_build_s(subject, strides[0]) if strides else 0.0)
+                + (self._stride_build_s(subject, strides[0], d_sfa=True)
+                   if strides else 0.0)
             )
             out.append((
                 t,
                 Plan(engine="sfa", kernel=kernel, num_chunks=p,
                      executor="processes", num_workers=p),
             ))
-        return out
+        return out, fact.describe() if fact is not None else ""
 
     def _span_candidates(
         self, n: int, cal: Calibration
@@ -329,13 +368,16 @@ class Planner:
         table = self._automaton_shape(subject)
         if table is None:
             return [4, 2]  # nothing known: let build-time budgeting decide
-        states, k = table
+        return self._fitting_strides(*table, subject)
+
+    @staticmethod
+    def _fitting_strides(states: int, k: int, subject) -> List[int]:
+        """Strides whose table of a ``states`` x ``k`` automaton fits the
+        subject's stride budget, best first."""
         from repro.automata.stride import DEFAULT_MAX_TABLE_BYTES
 
         budget = getattr(subject, "stride_budget", None) or DEFAULT_MAX_TABLE_BYTES
-        return [
-            s for s in (4, 2) if states * (k ** s) * 4 <= budget
-        ]
+        return [s for s in (4, 2) if states * (k ** s) * 4 <= budget]
 
     def _scan_automaton(self, subject):
         """The already-built automaton a scan would use (never builds one).
@@ -359,6 +401,14 @@ class Planner:
             return None
         return int(auto.num_states), int(auto.num_classes)
 
+    def _lane_dfa(self, n: int, subject):
+        """The subject's minimal DFA for an acceptance scan above the lane
+        gate — built here if need be, since every acceptance candidate
+        scans it or compiles the D-SFA from it — else ``None``."""
+        if n < LANE_ACCEPT_MIN or subject is None:
+            return None
+        return getattr(subject, "min_dfa", None)
+
     def _sfa_build_s(self, subject) -> float:
         if subject is None:
             return 0.0
@@ -366,15 +416,27 @@ class Planner:
             return 0.0
         return SFA_BUILD_S
 
-    def _stride_build_s(self, subject, stride: int) -> float:
-        """Estimated one-time compose cost of the stride table (0 if built)."""
-        auto = self._scan_automaton(subject)
+    @staticmethod
+    def _table_build_s(automaton, stride: int) -> float:
+        """Compose cost of ``automaton``'s stride table (0 if built)."""
+        cache = getattr(automaton, "_stride_tables", None) or {}
+        if any(key[0] == stride for key in cache):
+            return 0.0
+        states, k = int(automaton.num_states), int(automaton.num_classes)
+        return (states * (k ** stride)) / STRIDE_BUILD_ENTRIES_PER_S
+
+    def _stride_build_s(
+        self, subject, stride: int, d_sfa: bool = False
+    ) -> float:
+        """Estimated one-time compose cost of the stride table (0 if built).
+
+        ``d_sfa``: the table of the subject's D-SFA, which the ``sfa`` and
+        ``lockstep`` acceptance plans scan — not that of the minimal DFA
+        the planner itself built above the lane gate.
+        """
+        auto = _built(subject, "sfa") if d_sfa else self._scan_automaton(subject)
         if auto is not None:
-            cache = getattr(auto, "_stride_tables", None) or {}
-            if any(key[0] == stride for key in cache):
-                return 0.0
-            states, k = int(auto.num_states), int(auto.num_classes)
-            return (states * (k ** stride)) / STRIDE_BUILD_ENTRIES_PER_S
+            return self._table_build_s(auto, stride)
         facts = self._facts(subject)
         if facts is not None:
             for p in facts.stride_predictions:

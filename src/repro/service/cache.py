@@ -18,9 +18,9 @@ eviction hold one lock.  Compilation itself runs *outside* the lock — a
 slow compile must not stall cache hits for other connections — with a
 per-key reservation so concurrent first requests for one pattern compile
 it once.  The event loop itself only ever calls the non-compiling
-:meth:`ArtifactCache.lookup_pattern`/:meth:`~ArtifactCache.lookup_ruleset`
-and :func:`scans_built`, which decide whether a hit can skip the hop to
-the pool.
+:meth:`ArtifactCache.lookup_pattern`/:meth:`~ArtifactCache.lookup_ruleset`,
+:func:`plans_built` and :func:`scans_built`, which decide whether a hit
+can skip the hop to the pool.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ServiceError
+from repro.planning.planner import LANE_ACCEPT_MIN
 
 #: Stages :meth:`ArtifactCache.warm` understands, in pipeline order.
 WARM_STAGES = ("dfa", "sfa", "spans")
@@ -66,6 +67,19 @@ def scans_built(value, task: str, n: int, plan) -> bool:
         plan.engine == "dfa" and subject is not None
         and subject._min_dfa is not None
     )
+
+
+def plans_built(value, task: str, n: int) -> bool:
+    """Whether planning ``task`` over ``n`` bytes of the cached ``value``
+    builds nothing: the planner builds a pattern's minimal DFA and its
+    synchronization fact (a pair search) for ``fullmatch``/``contains``
+    scans of at least :data:`~repro.planning.planner.LANE_ACCEPT_MIN`
+    bytes (for ``contains``, the containment automaton's)."""
+    if task not in ("fullmatch", "contains") or n < LANE_ACCEPT_MIN:
+        return True
+    subject = value if task == "fullmatch" else value._search
+    dfa = subject._min_dfa if subject is not None else None
+    return getattr(dfa, "_sync_fact", None) is not None
 
 
 def pattern_key(pattern: str, ignore_case: bool = False) -> str:

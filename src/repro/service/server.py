@@ -49,7 +49,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.planning.plan import AUTO, Plan, resolve_plan
-from repro.service.cache import ArtifactCache, scans_built
+from repro.service.cache import ArtifactCache, plans_built, scans_built
 from repro.service.metrics import MetricsBoard, ServiceMetrics
 from repro.service.protocol import (
     DEFAULT_MAX_PAYLOAD,
@@ -590,7 +590,8 @@ class MatchService:
         ``resolve(artifact)`` its plan and ``scan(artifact, hit, plan)``
         the scan.  A hit whose payload is at most
         :data:`INLINE_MAX_BYTES` and whose automata are built
-        (:func:`~repro.service.cache.scans_built`) scans right here,
+        (:func:`~repro.service.cache.plans_built` and
+        :func:`~repro.service.cache.scans_built`) plans and scans right here,
         under :func:`~repro.automata.lazy.materialized_only` so that a
         lazy union walk meeting an unbuilt transition moves to the pool
         instead of building on the loop.  Everything else runs on the
@@ -599,6 +600,12 @@ class MatchService:
         if len(data) <= INLINE_MAX_BYTES:
             value = peek()
             if value is not None:
+                if not plans_built(value, task, len(data)):
+                    # planning would build the minimal DFA or run its
+                    # pair search: not on the loop
+                    return await self._in_thread(
+                        lambda: scan(value, True, resolve(value))
+                    )
                 plan = resolve(value)
                 if scans_built(value, task, len(data), plan):
                     try:
@@ -768,15 +775,19 @@ class MatchService:
 
         Its executor and pool size are replaced with the server's own for
         a plan that dispatches chunks (``num_chunks > 1`` on a
-        multi-pattern scan, or on an acceptance scan by the ``sfa``/
-        ``speculative`` engine), and with none otherwise (the scan runs
+        multi-pattern scan, on an acceptance scan by the ``sfa`` engine,
+        or by the ``speculative`` engine given an executor — without one
+        it runs in lanes), and with none otherwise (the scan runs
         in-process), so a request never builds a pool inside the server
         and the reply's summary names the executor that ran.
         """
         p = resolve_plan(self._plan_arg(header), task, n, subject=subject)
         dispatches = p.num_chunks > 1 and (
             task == "multi"
-            or (task != "spans" and p.engine in ("sfa", "speculative"))
+            or (task != "spans" and (
+                p.engine == "sfa"
+                or (p.engine == "speculative" and p.executor is not None)
+            ))
         )
         ex = self.executor_name if dispatches else None
         workers = self.num_workers if ex is not None else None

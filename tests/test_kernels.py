@@ -21,9 +21,18 @@ from repro.automata.stride import StrideTable, build_stride_table
 from repro.errors import AutomatonError, MatchEngineError
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
-from repro.matching.speculative import speculative_run
+from repro.matching.speculative import (
+    CHECK_EVERY,
+    SYNC_ROW_BUDGET,
+    speculative_run,
+    sync_lanes_run,
+)
 from repro.matching.stream import ParallelStreamMatcher, StreamMatcher
-from repro.parallel.chunking import clamp_chunks, lockstep_layout
+from repro.parallel.chunking import (
+    PITCH_PAD_MIN,
+    clamp_chunks,
+    lockstep_layout,
+)
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.parallel.scan import (
     KERNELS,
@@ -36,8 +45,10 @@ from repro.parallel.scan import (
 )
 from repro.planning.plan import Plan
 from repro.regex.charclass import pack_stride
-from repro.workloads.patterns import rn_pattern
+from repro.workloads.patterns import FIG10_PATTERN, rn_pattern
 from repro.workloads.textgen import rn_accepted_text
+
+from repro import compile_pattern
 
 from .conftest import compiled
 
@@ -342,6 +353,273 @@ class TestLaneLockstep:
         lockstep_run(m.sfa, classes, 7, "stride4")
         hit = _FLAT_CACHE.get(id(st.table))
         assert hit is None or hit[0]() is not st.table
+
+
+def _sync_dfa(seed: int, n: int, k: int, sinks: int = 0, permutation=False):
+    """A random complete DFA whose last ``sinks`` states are absorbing.
+
+    ``permutation``: every class permutes the non-absorbing states (no two
+    runs ever merge); else the targets are random.
+    """
+    rng = np.random.default_rng(seed)
+    live = n - sinks
+    if permutation:
+        table = np.stack([rng.permutation(live) for _ in range(k)], axis=1)
+    else:
+        table = rng.integers(0, n, size=(live, k))
+    table = np.vstack([table, np.repeat(np.arange(live, n), k).reshape(-1, k)])
+    return DFA(table.astype(np.int32), 0, rng.random(n) < 0.5)
+
+
+class TestSyncLanes:
+    """Algorithm 3 in collapsing lanes (``sync_lanes_run``) against the
+    serial DFA: the verdict and the final state, on every layout."""
+
+    LENGTHS = (0, 1, 2, 3, 5, 17, 64, 255, 1001, 1002, 1003, 1004)
+
+    @staticmethod
+    def _check(dfa, classes, kernel, **kw):
+        n = len(classes)
+        want = dfa.run_classes(classes)
+        results = []
+        for p in sorted({1, 2, max(1, math.isqrt(n)), max(1, n), n + 3}):
+            res = sync_lanes_run(dfa, classes, p, kernel, **kw)
+            assert res.final_state == want, (kernel, p, n)
+            assert res.accepted == bool(dfa.accept[want]), (kernel, p, n)
+            results.append(res)
+        return results
+
+    @pytest.mark.parametrize("kernel", ("python", "stride2", "stride4"))
+    @pytest.mark.parametrize("shape", [
+        (4, 2, 0, False), (6, 3, 1, False), (7, 2, 2, False),
+        (5, 2, 0, True), (6, 3, 1, True), (8, 2, 2, True), (1, 3, 0, False),
+        (1, 2, 1, False), (3, 1, 1, False),
+    ], ids=["rand0", "rand1", "rand2", "perm0", "perm1", "perm2", "one",
+            "one-sink", "unary"])
+    def test_random_dfas(self, kernel, shape):
+        n, k, sinks, perm = shape
+        for seed in range(4):
+            dfa = _sync_dfa(seed, n, k, sinks, perm)
+            rng = np.random.default_rng(seed)
+            for length in self.LENGTHS:
+                classes = rng.integers(0, k, size=length).astype(np.uint8)
+                self._check(dfa, classes, kernel)
+
+    @pytest.mark.parametrize("kernel", ("python", "stride2", "stride4"))
+    def test_compiled_patterns(self, kernel):
+        # minimal DFAs with a dead state (fullmatch) and an accepting sink
+        # (contains), on words, near-words and random bytes
+        rng = np.random.default_rng(7)
+        for pattern in PATTERNS:
+            m = compiled(pattern)
+            for sub in (m, m.search_pattern()):
+                for text in (b"ab" * 300 + b"abb", b"12" * 400 + b"GET /ab",
+                             rng.integers(0, 256, 777).astype(np.uint8).tobytes()):
+                    self._check(sub.min_dfa, sub.translate(text), kernel)
+
+    @pytest.mark.parametrize("kernel", ("stride2", "stride4"))
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_stride_tails(self, kernel, extra):
+        m = compiled(rn_pattern(3))
+        text = rn_accepted_text(3, 600, seed=2)
+        for t in (text, text + b"0" * extra, text[:-extra]):
+            self._check(m.min_dfa, m.translate(t), kernel)
+
+    def test_empty_input(self):
+        m = compiled("(ab)*")
+        for kernel in ("python", "stride2", "stride4"):
+            res = sync_lanes_run(m.min_dfa, m.translate(b""), 4, kernel)
+            assert res.accepted and res.final_state == m.min_dfa.initial
+
+    def test_late_resolution(self):
+        # r_12 runs die one by one until the text's class changes: lanes
+        # starting deep in a run resolve only after ~12 symbols
+        m = compiled(rn_pattern(12))
+        dfa = m.min_dfa
+        assert dfa.sync_fact().holds
+        text = rn_accepted_text(12, 200_000, seed=5)
+        for kernel in ("python", "stride4"):
+            for t in (text, text[:99_999] + b"7" + text[100_000:]):
+                classes = m.translate(t)
+                res = sync_lanes_run(dfa, classes, 200, kernel)
+                assert res.accepted == m.fullmatch(t, plan=Plan())
+                assert not res.handed_over
+                stride = 4 if kernel == "stride4" else 1
+                # resolved by dropping the runs that died, long before the
+                # block ends
+                assert 12 // stride <= res.collapse_rows <= 12 // stride + CHECK_EVERY
+                assert res.entry_rows > 0
+
+    def test_unresolved_lanes_hand_over(self):
+        # Fig. 10's runs never merge: past the row budget the scan moves
+        # to the D-SFA, which is built only then
+        m = compile_pattern(FIG10_PATTERN)
+        dfa = m.min_dfa
+        assert not dfa.sync_fact().holds
+        text = b"0123456789" * 10_000
+        classes = m.translate(text)
+        want = m.fullmatch(text, plan=Plan())
+        built = []
+
+        def handover():
+            built.append(1)
+            return m.sfa
+
+        for kernel in ("python", "stride4"):
+            res = sync_lanes_run(dfa, classes, 100, kernel, handover=handover)
+            assert res.handed_over and res.accepted == want
+            assert res.collapse_rows >= SYNC_ROW_BUDGET
+        assert len(built) == 2
+        # without a D-SFA the scan runs chunk by chunk (speculative_run)
+        for kernel in ("python", "stride4"):
+            res = sync_lanes_run(dfa, classes, 100, kernel)
+            assert res.handed_over and res.accepted == want
+            assert res.final_state == dfa.run_classes(classes)
+        # a resolving text never hands over
+        res = sync_lanes_run(compiled(rn_pattern(5)).min_dfa,
+                             compiled(rn_pattern(5)).translate(
+                                 rn_accepted_text(5, 100_000, seed=1)),
+                             100, "stride4", handover=handover)
+        assert not res.handed_over and len(built) == 2
+
+    def test_explicit_plan_never_builds_the_dsfa(self):
+        # an explicit speculative plan whose lanes do not resolve runs
+        # chunk by chunk, in O(|D|) memory, as before lanes: only an auto
+        # plan (which would have built it anyway) hands over to the D-SFA
+        m = compile_pattern(FIG10_PATTERN)
+        text = b"0123456789" * 10_000  # 1,000 rows of 100 lanes
+        for t in (text, text[:54_321] + b"1" + text[54_322:]):
+            want = m.fullmatch(t, plan=Plan(engine="dfa"))
+            for kernel in ("python", "stride4"):
+                plan = Plan(engine="speculative", kernel=kernel, num_chunks=100)
+                assert m.fullmatch(t, plan=plan) == want
+        assert m._sfa is None
+
+    def test_too_many_entries_hand_over_at_once(self, monkeypatch):
+        import repro.matching.speculative as spec
+
+        monkeypatch.setattr(spec, "SYNC_ENTRY_BUDGET", 50)
+        m = compiled(rn_pattern(5))
+        text = rn_accepted_text(5, 40_000, seed=3)
+        res = sync_lanes_run(m.min_dfa, m.translate(text), 60, "stride4",
+                             handover=lambda: m.sfa)
+        assert res.handed_over and res.collapse_rows == 0 and res.accepted
+
+    def test_permutation_texts_hand_over(self):
+        dfa = _sync_dfa(3, 6, 2, 0, permutation=True)
+        rng = np.random.default_rng(3)
+        classes = rng.integers(0, 2, size=50_000).astype(np.uint8)
+        sfa = correspondence_construction(dfa)
+        res = sync_lanes_run(dfa, classes, 50, "stride2", handover=lambda: sfa)
+        assert res.handed_over
+        assert res.final_state == dfa.run_classes(classes)
+
+    # A, B live and D dead: x swaps A and B, y kills B, z is the identity.
+    ABD = DFA(np.array([[1, 0, 0], [0, 2, 1], [2, 2, 2]], dtype=np.int32), 0,
+              np.array([True, False, False]))
+
+    def test_lane_entries_stay_apart(self):
+        # lane 2 never resolves (x and z keep A and B apart) while lane 1
+        # resolves at once on y; the lanes' runs must not mix at their
+        # boundary, so the collapse lasts the whole block
+        lanes = [[2] * 8, [1] + [2] * 7, [2, 2, 2, 2, 0, 2, 2, 2]]
+        classes = np.array(sum(lanes, []), dtype=np.uint8)
+        res = sync_lanes_run(self.ABD, classes, 3, "python")
+        assert res.final_state == self.ABD.run_classes(classes) == 1
+        assert res.collapse_rows == 8
+
+    def test_reduction_stops_at_unmerged_run(self):
+        # lane 1 resolves to A (y kills B), but lane 0 leaves B: that run
+        # dies in lane 1, so D is final although lane 1's own state lives
+        lanes = [[0] + [2] * 7, [1] + [2] * 7]
+        classes = np.array(sum(lanes, []), dtype=np.uint8)
+        res = sync_lanes_run(self.ABD, classes, 2, "python")
+        assert res.collapse_rows < 8
+        assert res.final_state == self.ABD.run_classes(classes) == 2
+        assert not res.accepted
+
+    def test_reduction_stops_at_accepting_sink(self):
+        # contains: the lane holding the match reaches the accepting sink
+        # and the reduction stops there; without the match every lane
+        # resolves to a live state
+        m = compiled("ERROR [0-9]+").search_pattern()
+        text = b"ok fine " * 5000
+        hit = text[:9_000] + b"ERROR 42" + text[9_000:]
+        for kernel in ("python", "stride2", "stride4"):
+            for t, want in ((hit, True), (text, False)):
+                classes = m.translate(t)
+                res = sync_lanes_run(m.min_dfa, classes, 20, kernel)
+                assert res.accepted is want and not res.handed_over
+                assert res.final_state == m.min_dfa.run_classes(classes)
+
+    def test_reduction_stops_at_absorbing_state(self):
+        # two absorbing states: lane 7's runs all die in
+        # the dead state and the reduction stops there, while later lanes'
+        # runs reach the accepting sink
+        m = compiled(r"(ab)*c[\x00-\xff]*")
+        dfa = m.min_dfa
+        assert int(dfa.absorbing_mask().sum()) == 2
+        p, chunk = 16, 400
+        text = bytearray(b"ab" * (p * chunk // 2))
+        text[7 * chunk + 100] = ord("b")  # "bb": dead
+        text[12 * chunk + 50] = ord("c")  # later: would accept
+        classes = m.translate(bytes(text))
+        for kernel in ("python", "stride2", "stride4"):
+            res = sync_lanes_run(dfa, classes, p, kernel)
+            assert res.final_state == dfa.run_classes(classes)
+            assert not res.accepted
+            assert dfa.absorbing_mask()[res.final_state]
+        text[7 * chunk + 100] = ord("a")
+        classes = m.translate(bytes(text))
+        for kernel in ("python", "stride2", "stride4"):
+            res = sync_lanes_run(dfa, classes, p, kernel)
+            assert res.accepted and res.final_state == dfa.run_classes(classes)
+
+
+class TestLayoutPitch:
+    """``lockstep_layout`` never lays rows a power of two bytes apart
+    (of 1 KiB or more), and its values never change."""
+
+    @pytest.mark.parametrize("dtype", (np.uint8, np.uint16))
+    @pytest.mark.parametrize("k", (5, 6))
+    def test_no_power_of_two_pitch(self, dtype, k):
+        size = np.dtype(dtype).itemsize
+        p = PITCH_PAD_MIN // size * 2 ** (k - 5)
+        for n in (p * p - 1, p * p, p * p + 1, p * (p + 3)):
+            classes = (np.arange(n) % 251).astype(dtype)
+            block, tail = lockstep_layout(classes, p)
+            m = n // p
+            assert block.shape == (m, p)
+            pitch = block.strides[0]
+            assert pitch >= p * size
+            assert pitch & (pitch - 1) != 0 or pitch < PITCH_PAD_MIN
+            np.testing.assert_array_equal(
+                block, classes[: m * p].reshape(p, m).T
+            )
+            np.testing.assert_array_equal(tail, classes[m * p:])
+
+    def test_short_rows_are_not_padded(self):
+        classes = np.arange(64 * 64, dtype=np.uint8)
+        block, _ = lockstep_layout(classes, 64)
+        assert block.flags.c_contiguous
+        block, _ = lockstep_layout(classes, 1)
+        assert block.flags.c_contiguous and block.shape == (64 * 64, 1)
+
+    @pytest.mark.parametrize("delta", (-1, 0, 1))
+    def test_results_at_powers_of_four(self, delta):
+        # 4^k ± 1 packed stride-4 symbols in 2^k lanes (k = 9: 512 lanes of
+        # uint16 symbols, a 1 KiB pitch)
+        m = compiled(rn_pattern(5))
+        packed = 4 ** 9 + delta
+        text = rn_accepted_text(5, packed * 4, seed=9)
+        classes = m.translate(text)
+        want = m.min_dfa.run_classes(classes)
+        res = lockstep_run(m.sfa, classes, 2 ** 9, "stride4")
+        states, _ = _chunk_states_reference(m.sfa, classes, 2 ** 9, "stride4")
+        assert res.chunk_states == states
+        assert res.accepted == bool(m.min_dfa.accept[want])
+        sync = sync_lanes_run(m.min_dfa, classes, 2 ** 9, "stride4")
+        assert sync.final_state == want
 
 
 class TestKernelEdgeCases:

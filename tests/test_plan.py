@@ -334,6 +334,70 @@ class TestPlannerChoices:
         )) == m.fullmatch(text, plan=Plan(engine="dfa"))
 
 
+class TestSyncLaneChoices:
+    """Above the lane gate the planner builds the minimal DFA and offers
+    Algorithm 3 in collapsing lanes where it synchronizes (§3.10)."""
+
+    N = 8_388_600
+
+    def _plan(self, subject, task="fullmatch"):
+        return Planner(calibration=DEFAULT_CALIBRATION, cpu_count=2).plan(
+            task, self.N, subject=subject
+        )
+
+    def test_cold_r50_gets_speculative_lanes(self):
+        m = compile_pattern(rn_pattern(50))
+        plan = self._plan(m)
+        assert plan.summary() == "speculative/p1448/inline/stride4"
+        assert "100 live states, resolving depth 50" in plan.reason
+        assert m._min_dfa is not None and m._sfa is None  # no D-SFA
+
+    def test_cold_fig10_gets_lockstep(self):
+        from repro.workloads.patterns import FIG10_PATTERN
+
+        plan = self._plan(compile_pattern(FIG10_PATTERN))
+        assert plan.summary() == "lockstep/p1448/inline/stride4"
+        assert "does not synchronize" in plan.reason
+
+    def test_built_dsfa_keeps_lockstep(self):
+        plan = self._plan(_warm(rn_pattern(50)))
+        assert plan.summary() == "lockstep/p1448/inline/stride4"
+        assert "synchronizes" in plan.reason
+
+    def test_below_the_lane_gate_nothing_is_built(self):
+        m = compile_pattern(rn_pattern(50))
+        Planner(calibration=DEFAULT_CALIBRATION, cpu_count=2).plan(
+            "fullmatch", LANE_ACCEPT_MIN - 1, subject=m
+        )
+        assert m._min_dfa is None
+
+    def test_contains_plans_against_the_search_automaton(self):
+        m = compile_pattern("(UNION|union) +(SELECT|select) ")
+        plan = self._plan(m.search_pattern(), "contains")
+        assert (plan.engine, plan.kernel) == ("speculative", "stride2")
+        assert m.search_pattern()._sfa is None
+
+    @pytest.mark.parametrize("mode", ["fullmatch", "contains"])
+    @pytest.mark.parametrize("n", [100, 40_000])
+    def test_dfa_over_budget_raises_from_the_scan_call(self, mode, n):
+        from repro.errors import StateExplosionError
+
+        m = compile_pattern("(a|b)*a(a|b){16}", max_dfa_states=1000)
+        with pytest.raises(StateExplosionError, match="subset construction"):
+            getattr(m, mode)(b"ab" * (n // 2))
+
+    def test_auto_lanes_answer_like_the_dfa(self):
+        set_planner(Planner(calibration=DEFAULT_CALIBRATION, cpu_count=2))
+        m = compile_pattern(rn_pattern(50))
+        text = rn_accepted_text(50, 1_500_000, seed=4)
+        broken = text[:123_457] + b"x" + text[123_458:]
+        for t in (text, broken):
+            p = resolve_plan("auto", "fullmatch", len(t), subject=m)
+            assert p.engine == "speculative"
+            assert m.fullmatch(t) == m.fullmatch(t, plan=Plan(engine="dfa"))
+        assert m._sfa is None
+
+
 # ---------------------------------------------------------------------------
 # Equivalence: auto == serial python reference, bit for bit
 # ---------------------------------------------------------------------------
@@ -511,6 +575,44 @@ class TestCalibration:
         assert get_calibration().source == "default"
         save_calibration(self._measured())
         assert get_calibration().source == "measured"  # no restart needed
+
+    def test_v2_files_load_as_stale(self):
+        path = save_calibration(self._measured(version=2))
+        with pytest.warns(CalibrationWarning, match="schema v2"):
+            assert load_calibration(path) is None
+
+    def test_every_measured_key_is_read_by_the_planner(self, monkeypatch):
+        from repro.planning.calibration import run_calibration
+        from repro.planning.plan import TASKS
+
+        # the processes dispatch is left out here: measuring it starts a
+        # pool; the planner reads it for multi-core acceptance scans
+        written = run_calibration(
+            sample_bytes=40_000, repeat=1, measure_executors=False
+        )
+        read = set()
+        rate, dispatch = Calibration.rate, Calibration.dispatch_s
+
+        def spy_rate(self, key):
+            read.add(key)
+            return rate(self, key)
+
+        def spy_dispatch(self, key):
+            read.add(key)
+            return dispatch(self, key)
+
+        monkeypatch.setattr(Calibration, "rate", spy_rate)
+        monkeypatch.setattr(Calibration, "dispatch_s", spy_dispatch)
+        planner = Planner(calibration=written, cpu_count=2)
+        m = compile_pattern(rn_pattern(5))
+        subjects = {
+            "fullmatch": m, "contains": m.search_pattern(), "spans": m,
+            "multi": MultiPatternSet(RULES), "stream": m,
+        }
+        for task in TASKS:
+            planner.plan(task, 4_000_000, subject=subjects[task])
+        keys = set(written.mb_per_s) | set(written.dispatch_ms) | {"processes"}
+        assert keys == read, (sorted(keys - read), sorted(read - keys))
 
     def test_rate_falls_back_per_key(self):
         cal = self._measured(mb_per_s={"sfa_python": 50.0})

@@ -888,6 +888,57 @@ class TestHopFreeHits:
             assert c.finditer(pattern, mid) == list(m.finditer(mid))
             assert len(hops) == 2
 
+    def test_acceptance_planning_builds_off_the_loop(self, server, monkeypatch):
+        # Above the lane gate the planner builds the scanned DFA: a hit
+        # whose containment DFA is unbuilt is planned on the pool.
+        import repro.matching.engine as eng
+
+        pattern = "(UNION|union) +(SELECT|select) "
+        data = (b"select 1 from t; " * 2400)[:40_000] + b"UNION  SELECT x"
+        builds = []
+        minimize = eng.minimize
+
+        def spy(dfa, *a, **kw):
+            builds.append(threading.current_thread())
+            return minimize(dfa, *a, **kw)
+
+        monkeypatch.setattr(eng, "minimize", spy)
+        with server.client() as c:
+            assert c.finditer(pattern, b"x UNION SELECT y") == [(2, 15)]
+            builds.clear()
+            reply = c.request(
+                {"op": "match", "pattern": pattern, "mode": "contains"}, data
+            )
+        assert reply["cached"] is True
+        assert reply["match"] is compile_pattern(pattern).contains(data) is True
+        assert builds and server.thread not in builds
+
+    def test_sync_fact_is_found_off_the_loop(self, server, monkeypatch):
+        # finditer builds the pattern's minimal DFA but not its
+        # synchronization fact, whose pair search planning a fullmatch
+        # above the lane gate runs: that hit is planned on the pool.
+        import repro.automata.dfa as dfa_mod
+
+        pattern = "[a-z]+=[0-9]+( [a-z]+=[0-9]+)*"
+        data = (b"k=1 id=22 " * 4000).rstrip()
+        tests = []
+        fact = dfa_mod.synchronization_fact
+
+        def spy(dfa):
+            tests.append(threading.current_thread())
+            return fact(dfa)
+
+        monkeypatch.setattr(dfa_mod, "synchronization_fact", spy)
+        with server.client() as c:
+            assert c.finditer(pattern, b"k=1") == [(0, 3)]
+            assert not tests
+            reply = c.request(
+                {"op": "match", "pattern": pattern, "mode": "fullmatch"}, data
+            )
+        assert reply["cached"] is True
+        assert tests and server.thread not in tests
+        assert reply["match"] is compile_pattern(pattern).fullmatch(data) is True
+
     def test_loop_and_pool_share_the_cache_under_churn(self):
         """Hits on the loop and misses on the pool update one cache (and
         build one pattern's automata) concurrently: no lost counts, no
