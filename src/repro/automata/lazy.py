@@ -57,14 +57,17 @@ _MATERIALIZED_ONLY: ContextVar[bool] = ContextVar(
 
 class NotMaterialized(Exception):
     """A scan under :func:`materialized_only` reached a
-    :class:`LazyUnionDFA` transition that is not built yet."""
+    :class:`LazyUnionDFA` transition, or a span start pass reached a
+    backward D-SFA, that is not built yet."""
 
 
 @contextmanager
 def materialized_only() -> Iterator[None]:
     """Scans of a :class:`LazyUnionDFA` inside this block build nothing:
     the first transition not yet materialized raises
-    :class:`NotMaterialized` instead, with nothing built.
+    :class:`NotMaterialized` instead, with nothing built.  A span start
+    pass that has to hand a block to its unbuilt backward D-SFA raises
+    it too (:mod:`repro.matching.spans`).
 
     The match service scans a warm lazy ruleset on its event loop this
     way and hands a scan that needs new transitions to its thread pool —
@@ -75,6 +78,13 @@ def materialized_only() -> Iterator[None]:
         yield
     finally:
         _MATERIALIZED_ONLY.reset(token)
+
+
+def check_may_build(*what) -> None:
+    """Raise :class:`NotMaterialized` (carrying ``what``) inside
+    :func:`materialized_only`; a builder calls this before building."""
+    if _MATERIALIZED_ONLY.get():
+        raise NotMaterialized(*what)
 
 
 def _as_int_list(classes) -> list:
@@ -511,8 +521,7 @@ class LazyUnionDFA:
     def _fill(self, state: int, cls: int, budget: Optional[int] = None,
               message: str = "lazy union determinization exceeded state budget") -> int:
         """Materialize one union transition; returns the *scaled* target."""
-        if _MATERIALIZED_ONLY.get():
-            raise NotMaterialized(state, cls)
+        check_may_build(state, cls)
         k = self._k
         with self._lock:
             nxt = self._flat[state * k + cls]

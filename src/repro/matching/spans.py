@@ -40,36 +40,48 @@ symbol column) standing in for the paper's processors — a 1–2-core host
 gains nothing from a process pool here, but a lane step retires hundreds
 of symbols per interpreter dispatch:
 
-* **Lane start pass (Algorithm 5 over lanes).**  The input is cut into
+* **Lane start pass (speculation and repair).**  The input is cut into
   blocks of :data:`LANE_BLOCK` symbols, scanned right-to-left, and each
-  block into ``g`` lanes of ``L ≈ √block`` symbols.  (1) Every lane
-  advances its *backward-D-SFA* state from the identity mapping — the
-  lane's partial-match state, independent of every other lane;
-  (2) an ``O(g)`` sequential stitch applies the lane mappings to the
-  exact ``B`` state entering the block, giving each lane its exact
-  entry state (the state after the block's leftmost symbol carries into
-  the next block);
-  (3) every lane advances ``B`` from its entry state and the accepting
+  block into ``g`` lanes of ``L = min(LANE_SPEC_MAX, ⌊√block⌋)``
+  symbols.  The lane scanned first starts in the exact ``B`` state
+  entering the block, every other lane in ``B``'s initial state, and
+  every lane records its run.  ``B`` is the minimal DFA of a left
+  ideal, ``Σ*·rev(P)``: prepending text only enlarges its quotients, so
+  a run started in the initial state rejoins the true run as soon as
+  the text resets ``B`` (on log text within 8-16 symbols).  A repair
+  walker then starts at every lane boundary whose true entry state (the
+  state after the neighbour lane's first symbol) differs from the guess
+  and overwrites the recorded run until it rejoins, crossing into the
+  next lane if need be.  A block whose walkers have not rejoined within
+  :data:`LANE_REPAIR_STEPS` steps is handed over to the paper's
+  Algorithm 5: every lane advances its *backward-D-SFA* state from the
+  identity mapping, an ``O(g)`` sequential stitch applies the lane
+  mappings to the block's entry state, and every lane runs ``B`` again
+  from its exact entry state.  So the backward D-SFA is built only for
+  text that does not resynchronize.  The state after the block's
+  leftmost symbol carries into the next block, and the accepting
   offsets are recorded sparsely.  Transient memory is ``O(block)``.
 * **Batched end walk.**  Emission walks the pattern DFA forward from up
   to :data:`LANE_BATCH` candidate starts at once, one lane per
   candidate; a lane drops out at the dead state or the end of input.
   A batch stops after :data:`LANE_WORK` lane-steps per byte of its span,
-  and the scalar walk finishes any lane still open — but only for the
-  candidates the cursor actually reaches, so ``[a-z]+`` over a long run
-  of letters stays linear instead of walking every start to the end.
+  or once too few lanes are live for a lockstep step to pay
+  (:data:`LANE_SPARSE`), and the scalar walk finishes any lane still
+  open — but only for the candidates the cursor actually reaches, so
+  ``[a-z]+`` over a long run of letters stays linear instead of walking
+  every start to the end.
   One cursor-rule selection loop consumes the ends in both modes.
 
 Each lane path engages only above a measured crossover
-(:data:`LANE_START_MIN` = 6144 symbols for the start pass,
+(:data:`LANE_START_MIN` = 3072 symbols for the start pass,
 :data:`LANE_ENDS_MIN` = 96 candidates for the end walk; the measurements
 sit with the constants); below it the scalar
 :func:`~repro.parallel.scan.mask_scan` and walk run unchanged and serve
 as the reference the lane paths are tested against.  ``B`` itself is
-built on the first start pass, and the backward D-SFA and the lane
-tables on the first scan above a gate, never at construction: a
-``finditer`` the literal prefilter serves builds none of them.  Results
-are bit-identical on every path.
+built on the first start pass, its lane table on the first scan above
+a gate, and the backward D-SFA on the first block handed over, never
+at construction: a ``finditer`` the literal prefilter serves builds
+none of them.  Results are bit-identical on every path.
 
 Complexity: both passes are linear; the end walk's lane work is capped
 at ``LANE_WORK ×`` the bytes spanned.  The scalar continuation keeps the
@@ -99,6 +111,7 @@ from repro.analysis.literals import (
     literal_info,
 )
 from repro.automata.dfa import DFA, minimize, subset_construction
+from repro.automata.lazy import check_may_build
 from repro.automata.nfa import NFA, glushkov_nfa
 from repro.automata.sfa import SFA, correspondence_construction
 from repro.errors import MatchEngineError, StateExplosionError
@@ -115,14 +128,29 @@ Span = Tuple[int, int]
 Data = Union[bytes, bytearray, memoryview]
 
 #: Start pass: inputs shorter than this many symbols take the scalar
-#: :func:`mask_scan`.  Measured crossover on the grep log's literal-free
-#: patterns (2 vCPUs, NumPy 2.4): lanes run 0.82-0.85x of scalar at 4096
-#: symbols, 0.99-1.17x at 6144 and 1.13-1.40x at 8192.
-LANE_START_MIN = 6144
-#: Symbols per lane start-pass block (lanes are ~√block symbols long).
+#: :func:`mask_scan`.  Measured crossover on the grep log's four
+#: literal-free patterns (2 vCPUs, NumPy 2.4, three log seeds, median of
+#: 41 at three offsets each): lanes run 0.77-1.09x of scalar at 2048
+#: symbols, 0.90-1.17x at 2560, 1.00-1.43x at 3072, 1.26-1.76x at 4096
+#: and 1.50-1.79x at 6144.
+LANE_START_MIN = 3072
+#: Symbols per lane start-pass block.
 LANE_BLOCK = 1 << 20
+#: Longest lane of the start pass: a block of ``m`` symbols runs lanes of
+#: ``min(LANE_SPEC_MAX, ⌊√m⌋)`` symbols.  With no ``O(g)`` stitch, short
+#: lanes pay.  Per 4 MB op on the grep log's literal-free patterns (2
+#: vCPUs, NumPy 2.4, log seeds 2-3, four runs): 17-28 ms at 256, 19-32
+#: at 512 and 23-38 at ⌊√m⌋ = 1024; 128 and 192 ran within 10% of 256
+#: (interleaved medians 21.9, 20.3 and 22.1 ms over three seeds).
+LANE_SPEC_MAX = 256
+#: Repair steps a block's walkers may take before the block is handed to
+#: the backward D-SFA.  On the grep log (three seeds) every walker
+#: rejoins within 8-16 steps, 1,800-2,200 walkers per 4,096-lane block;
+#: text that never resynchronizes wastes at most these steps.
+LANE_REPAIR_STEPS = 64
 #: Backward-D-SFA budget of the lane start pass, in mapping entries
-#: (states × |Q_B|); a pattern whose D-SFA exceeds it stays scalar.
+#: (states × |Q_B|); a block handed over to a D-SFA over it makes the
+#: whole pass scalar.
 LANE_DSFA_ENTRIES = 1 << 20
 #: End walk: fewer candidate starts than this are walked one at a time.
 #: Measured crossover over the 8 grep patterns (same host): lanes run
@@ -133,6 +161,13 @@ LANE_ENDS_MIN = 96
 LANE_BATCH = 4096
 #: Lane-step budget of one end-walk batch, per byte of the batch's span.
 LANE_WORK = 8
+#: An end-walk batch leaves its lanes to the scalar walk once fewer than
+#: ``len(batch) // LANE_SPARSE`` (at least one) are live: a lockstep step
+#: costs about ten NumPy calls however few lanes it advances.  With
+#: ``x[a-z]*y`` over 400k ``a`` between 200 ``xay`` on each side (2
+#: vCPUs), ``finditer`` took 3.1 s stepping one lane alone; the scalar
+#: walk finishes it in ~43 ms.
+LANE_SPARSE = 64
 #: ``lane_ends`` marker of a lane the scalar walk still has to finish.
 OPEN = -2
 
@@ -159,6 +194,75 @@ def accept_last(dfa: DFA) -> DFA:
     )
 
 
+def _lane_layout(seg: np.ndarray, L: int) -> Tuple[np.ndarray, int]:
+    """``seg`` as lane columns ``cols[j, r] = seg[r·L + j]`` (``C``-order,
+    so a lane step reads one contiguous row), padded on the left to
+    whole rows; returns ``(cols, pad)``."""
+    g = -(-len(seg) // L)
+    pad = g * L - len(seg)
+    if pad:  # ragged block: padding on the left is scanned last
+        seg = np.concatenate([np.zeros(pad, dtype=np.uint8), seg])
+    return np.ascontiguousarray(seg.reshape(g, L).T), pad
+
+
+def _run_lanes(
+    table: np.ndarray, cols: np.ndarray, entry: np.ndarray
+) -> np.ndarray:
+    """Every row of ``cols`` advances the lane table ``table`` right to
+    left from its scaled entry state; returns the ``(L, g)`` matrix of
+    the scaled state after each symbol."""
+    L, g = cols.shape
+    states = np.empty((L, g), dtype=table.dtype)
+    f = entry
+    tmp = np.empty(g, dtype=table.dtype)
+    for j in range(L - 1, -1, -1):
+        np.add(f, cols[j], out=tmp)
+        f = table.take(tmp, out=states[j], mode="clip")
+    return states
+
+
+def _repair_lanes(
+    table: np.ndarray, cols: np.ndarray, states: np.ndarray, guess: int
+) -> bool:
+    """Repair the runs :func:`_run_lanes` recorded from guessed entries.
+
+    Row ``r < g - 1`` guessed the scaled entry ``guess``; its entry is
+    the exit of row ``r + 1`` (its state after that row's leftmost
+    symbol).  From every row whose guess differs from that recorded
+    exit, a walker carries the exit onward, one symbol per step, and
+    overwrites the recorded states until its state equals the recorded
+    one (the runs have rejoined); a walker still apart at the end of its
+    row crosses into the next.  The result is exact: recorded runs are
+    consistent except where a walker is about to step, and since every
+    walker advances one symbol per step, a walker that started further
+    right reaches each position after any walker ahead of it, so its
+    truer state is written last.  Returns ``False`` if walkers remain
+    after :data:`LANE_REPAIR_STEPS` steps (``states`` is then partly
+    repaired and must be recomputed).
+    """
+    L = states.shape[0]
+    exits = states[0, 1:]
+    r = np.flatnonzero(exits != guess)  # the rows whose guess was wrong
+    f = exits[r]
+    j = L - 1
+    for _ in range(LANE_REPAIR_STEPS):
+        if not len(r):
+            return True
+        f = table.take(f + cols[j].take(r))
+        row = states[j]
+        apart = f != row.take(r)
+        r, f = r[apart], f[apart]
+        row[r] = f
+        if j:
+            j -= 1
+        else:  # cross into the row scanned next; row 0 ends the block
+            j = L - 1
+            r -= 1
+            if len(r) and r[0] < 0:
+                r, f = r[1:], f[1:]
+    return not len(r)
+
+
 class SpanEngine:
     """Span extraction state for one compiled pattern.
 
@@ -172,9 +276,11 @@ class SpanEngine:
     * ``live`` — the prefix-liveness automaton ``DFA(Suff(rev(P)))`` for
       streaming holdback (built on first use).
 
-    The backward D-SFA and the lane tables are built on the first scan
-    above a lane gate; if the D-SFA exceeds :data:`LANE_DSFA_ENTRIES`
-    the start pass stays scalar.
+    The lane tables are built on the first scan above a lane gate, and
+    ``B``'s D-SFA (the backward D-SFA) on the first start-pass block
+    whose text does not resynchronize ``B`` (on text that does, it is
+    never built); if it exceeds :data:`LANE_DSFA_ENTRIES`, such a start
+    pass runs scalar.
     """
 
     def __init__(self, pattern: "CompiledPattern"):
@@ -271,68 +377,82 @@ class SpanEngine:
         block: int = LANE_BLOCK,
         lane: Optional[int] = None,
     ) -> Optional[np.ndarray]:
-        """:meth:`start_bits` by Algorithm 5 over NumPy lanes.
+        """:meth:`start_bits` by speculation and repair over NumPy lanes.
 
         Blocks of ``block`` symbols are taken right-to-left; each block of
         ``m`` symbols is cut into ``g`` rows of ``L = lane`` symbols
-        (default ``⌊√m⌋``), row ``r`` covering ``[r·L, (r+1)·L)`` of the
-        block and scanned from its right end, rows from the last one down.
-        A ragged block is padded on the left.  Returns ``None``
-        when the backward D-SFA exceeds its lane budget (the caller
-        falls back to the scalar pass).
+        (default ``min(LANE_SPEC_MAX, ⌊√m⌋)``), row ``r`` covering
+        ``[r·L, (r+1)·L)`` of the block and scanned from its right end,
+        rows from the last one down.  A ragged block is padded on the
+        left.  The last row starts in the exact ``B`` state entering the
+        block and every other row in ``B``'s initial state; every state is
+        recorded, and :func:`_repair_lanes` then walks the true run from
+        each row whose guess was wrong until it rejoins the recorded one.
+        A block whose walkers have not all rejoined within
+        :data:`LANE_REPAIR_STEPS` steps is rescanned from exact row entry
+        states, found by Algorithm 5 over the backward D-SFA
+        (:meth:`_exact_entries`).  Returns ``None`` when such a block
+        needs a D-SFA over its budget (the caller falls back to the
+        scalar pass).
         """
-        tables = self._start_tables()
-        if tables is None:
-            return None
-        sflat, smaps, ks, dflat, k, thr = tables
+        dflat, k, thr = self._start_tables()
         n = len(classes)
         if classes.dtype != np.uint8:
             classes = classes.astype(np.uint8)  # byte classes: k <= 256
         bdfa = self.bwd
         bits = np.zeros(n + 1, dtype=np.bool_)
         bits[n] = bool(bdfa.accept[bdfa.initial])
-        q = int(bdfa.initial)  # exact B state entering the current block
-        s_id = self._bsfa.initial * ks
+        guess = int(bdfa.initial) * k
+        q = guess  # exact scaled B state entering the current block
         hi = n
         while hi > 0:
             lo = max(0, hi - block)
-            m = hi - lo
-            L = lane or max(1, math.isqrt(m))
-            g = -(-m // L)
-            pad = g * L - m
-            seg = classes[lo:hi]
-            if pad:  # ragged block: padding on the left is scanned last
-                seg = np.concatenate([np.zeros(pad, dtype=np.uint8), seg])
-            cols = np.ascontiguousarray(seg.reshape(g, L).T)  # cols[j, r]
-            entry = np.empty(g, dtype=np.int64)
+            L = lane or min(LANE_SPEC_MAX, max(1, math.isqrt(hi - lo)))
+            cols, pad = _lane_layout(classes[lo:hi], L)
+            g = cols.shape[1]
+            entry = np.full(g, guess, dtype=dflat.dtype)
             entry[g - 1] = q
-            if g > 1:
-                # (1) rows g-1 .. 1: backward-D-SFA state from the identity
-                s = np.full(g - 1, s_id, dtype=sflat.dtype)
-                tmp = np.empty_like(s)
-                for j in range(L - 1, -1, -1):
-                    np.add(s, cols[j, 1:], out=tmp)
-                    sflat.take(tmp, out=s, mode="clip")
-                # (2) stitch: each row's mapping sends its entry state to
-                # the entry state of the row scanned next
-                lane_maps = (s // ks).tolist()
-                e = q
-                for r in range(g - 1, 0, -1):
-                    e = smaps.item(lane_maps[r - 1], e)
-                    entry[r - 1] = e
-            # (3) every row advances B from its exact entry state
-            states = np.empty((L, g), dtype=dflat.dtype)
-            f = (entry * k).astype(dflat.dtype)
-            tmp = np.empty(g, dtype=dflat.dtype)
-            for j in range(L - 1, -1, -1):
-                np.add(f, cols[j], out=tmp)
-                f = dflat.take(tmp, out=states[j], mode="clip")
+            states = _run_lanes(dflat, cols, entry)
+            if not _repair_lanes(dflat, cols, states, guess):
+                entry = self._exact_entries(cols, q // k)
+                if entry is None:
+                    return None
+                states = _run_lanes(dflat, cols, (entry * k).astype(dflat.dtype))
             j_hit, r_hit = np.divmod(np.flatnonzero(states >= thr), g)
             pos = r_hit * L + j_hit + (lo - pad)
             bits[pos[pos >= lo] if pad else pos] = True
-            q = int(states[pad, 0]) // k  # after the block's first real symbol
+            q = int(states[pad, 0])  # after the block's first real symbol
             hi = lo
         return bits
+
+    def _exact_entries(self, cols: np.ndarray, q: int) -> Optional[np.ndarray]:
+        """Every row's exact ``B`` entry state, by Algorithm 5: each row
+        but the last advances its backward-D-SFA state from the identity
+        (the row's mapping), then an ``O(g)`` stitch applies the mappings
+        right-to-left from ``q``, the state entering the block.  ``None``
+        when the D-SFA exceeds :data:`LANE_DSFA_ENTRIES`."""
+        bsfa = self._backward_sfa()
+        if bsfa is None:
+            return None
+        sflat, ks = lane_table(bsfa), bsfa.num_classes
+        L, g = cols.shape
+        entry = np.empty(g, dtype=np.int64)
+        entry[g - 1] = q
+        if g > 1:
+            s = np.full(g - 1, bsfa.initial * ks, dtype=sflat.dtype)
+            tmp = np.empty_like(s)
+            for j in range(L - 1, -1, -1):
+                np.add(s, cols[j, 1:], out=tmp)
+                sflat.take(tmp, out=s, mode="clip")
+            # each row's mapping sends its entry state to the entry state
+            # of the row scanned next
+            lane_maps = (s // ks).tolist()
+            image = bsfa.maps.item
+            e = q
+            for r in range(g - 1, 0, -1):
+                e = image(lane_maps[r - 1], e)
+                entry[r - 1] = e
+        return entry
 
     def prefilter_bits(self, data: Data, n: int) -> np.ndarray:
         """Over-approximated start bits from literal occurrences (§3.9.3).
@@ -490,9 +610,10 @@ class SpanEngine:
         ``cand`` holds sorted starts below ``len(classes)``.  Returns
         ``(ends, opened)``: ``ends[i]`` is the longest end from
         ``cand[i]`` (``-1``: no match there).  Lanes still running after
-        ``cap`` lane-steps are left :data:`OPEN`; ``opened[i]`` holds
-        their ``(scaled state, next position, last end)`` for the scalar
-        walk to finish.
+        ``cap`` lane-steps, or once fewer than ``len(cand) //``
+        :data:`LANE_SPARSE` lanes are live, are left :data:`OPEN`;
+        ``opened[i]`` holds their ``(scaled state, next position, last
+        end)`` for the scalar walk to finish.
         """
         flat, accept, live, init, init_acc = self._end_tables()
         n = len(classes)
@@ -506,6 +627,7 @@ class SpanEngine:
         def finish(sel) -> None:
             ends[idx[sel]] = np.where(run[sel] >= 0, start[sel] + run[sel], -1)
 
+        few = max(1, len(cand) // LANE_SPARSE)
         t = 0
         work = 0
         while len(idx):
@@ -522,9 +644,12 @@ class SpanEngine:
             t += 1
             np.copyto(run, t, where=accept.take(f))
             keep = live.take(f)
+            alive = int(np.count_nonzero(keep))
+            if alive < few:
+                break  # a lockstep step no longer pays: the scalar walk
             # Dead lanes idle in the dead state (it never accepts) until a
             # quarter of the batch has died; then they are dropped at once.
-            if 4 * int(np.count_nonzero(keep)) < 3 * len(keep):
+            if 4 * alive < 3 * len(keep):
                 finish(~keep)
                 idx, start, f, run = idx[keep], start[keep], f[keep], run[keep]
         keep = live.take(f)
@@ -559,18 +684,20 @@ class SpanEngine:
         ``prefilter`` field is ``prefilter`` would build no automaton.
 
         The literal prefilter needs none; the start pass needs ``B``, plus
-        the backward D-SFA and lane tables above :data:`LANE_START_MIN`.
+        its lane table above :data:`LANE_START_MIN`.  A block the lane
+        pass hands over may still need the backward D-SFA; under
+        :func:`~repro.automata.lazy.materialized_only` building it raises
+        :class:`~repro.automata.lazy.NotMaterialized` instead.
         """
         if self.prefilter is not None and prefilter is not False:
             return True
         return self._bwd is not None and (
-            n < LANE_START_MIN
-            or self._start_lanes is not None
-            or self._bsfa_failed
+            n < LANE_START_MIN or self._start_lanes is not None
         )
 
     def _backward_sfa(self) -> Optional[SFA]:
         if self._bsfa is None and not self._bsfa_failed:
+            check_may_build("backward D-SFA", self.pattern.pattern)
             budget = max(1, LANE_DSFA_ENTRIES // self.bwd.num_states)
             try:
                 self._bsfa = correspondence_construction(
@@ -581,20 +708,14 @@ class SpanEngine:
                 self._bsfa_failed = True
         return self._bsfa
 
-    def _start_tables(self) -> Optional[tuple]:
-        """Lane tables of the start pass, or ``None`` (D-SFA over budget)."""
+    def _start_tables(self) -> tuple:
+        """``B``'s lane table, its width and its scaled accept threshold."""
         if self._start_lanes is None:
-            bsfa = self._backward_sfa()
-            if bsfa is None:
-                return None
             bdfa = self.bwd
             k = bdfa.num_classes
             # accept_last: accepting states are the top indices of B
             thr = (bdfa.num_states - int(np.count_nonzero(bdfa.accept))) * k
-            self._start_lanes = (
-                lane_table(bsfa), bsfa.maps, bsfa.num_classes,
-                lane_table(bdfa), k, thr,
-            )
+            self._start_lanes = (lane_table(bdfa), k, thr)
         return self._start_lanes
 
     def _end_tables(self) -> tuple:

@@ -85,6 +85,15 @@ STRIDE_BUILD_ENTRIES_PER_S = 3e6
 #: when the subject has not built its SFA yet.
 SFA_BUILD_S = 0.05
 
+#: Seconds per estimated D-SFA entry, charged (when above
+#: :data:`SFA_BUILD_S`) for the D-SFA of a DFA that synchronizes.  Such
+#: a D-SFA has about ``live²`` states (r_50: 10,100 at 100 live states;
+#: r_100: 40,200 at 200; ids_cgi: 770 at 25; ids_cmd: 651 at 22), and
+#: its build takes time in proportion to ``live² · |Q| · k`` entries:
+#: r_50 3.0M entries in 73-104 ms, r_100 24.1M in 453-543 ms, ids_cgi
+#: 0.26M in 14-16 ms, ids_cmd 0.22M in 15-23 ms (2 vCPUs, NumPy 2.4).
+SFA_BUILD_S_PER_ENTRY = 2.5e-8
+
 #: Rulesets whose total Glushkov position count (§3.9: the NFA state
 #: count is positions + 1, so this is the exact product-automaton
 #: dimensionality) stays below this are compiled eagerly outright — the
@@ -237,7 +246,7 @@ class Planner:
         ]
         dfa = self._lane_dfa(n, subject)
         fact = dfa.sync_fact() if dfa is not None else None
-        sfa_build = self._sfa_build_s(subject)
+        sfa_build = self._sfa_build_s(subject, dfa, fact)
         for stride in strides:
             kernel = f"stride{stride}"
             table_build = self._stride_build_s(subject, stride, d_sfa=True)
@@ -409,11 +418,16 @@ class Planner:
             return None
         return getattr(subject, "min_dfa", None)
 
-    def _sfa_build_s(self, subject) -> float:
+    def _sfa_build_s(self, subject, dfa, fact) -> float:
+        """One-time D-SFA build charge (0 if built): by the estimated
+        size where ``dfa``'s synchronization ``fact`` holds, else flat."""
         if subject is None:
             return 0.0
         if _built(subject, "sfa") is not None:
             return 0.0
+        if fact is not None and fact.holds:
+            entries = fact.live ** 2 * dfa.num_states * dfa.num_classes
+            return max(SFA_BUILD_S, entries * SFA_BUILD_S_PER_ENTRY)
         return SFA_BUILD_S
 
     @staticmethod

@@ -352,6 +352,16 @@ class TestSyncLaneChoices:
         assert "100 live states, resolving depth 50" in plan.reason
         assert m._min_dfa is not None and m._sfa is None  # no D-SFA
 
+    def test_cold_r100_prices_its_dsfa_by_size(self):
+        # A synchronizing DFA's D-SFA has about live² states: r_100's has
+        # 40,200, far above the flat SFA_BUILD_S, so the cold plan builds
+        # none.
+        m = compile_pattern(rn_pattern(100))
+        plan = self._plan(m)
+        assert plan.summary() == "speculative/p1448/inline/stride4"
+        assert "200 live states" in plan.reason
+        assert m._sfa is None
+
     def test_cold_fig10_gets_lockstep(self):
         from repro.workloads.patterns import FIG10_PATTERN
 

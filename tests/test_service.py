@@ -888,6 +888,36 @@ class TestHopFreeHits:
             assert c.finditer(pattern, mid) == list(m.finditer(mid))
             assert len(hops) == 2
 
+    def test_handed_over_start_pass_builds_off_the_loop(self, server, monkeypatch):
+        # Text on which the lane start pass never resynchronizes hands its
+        # block to the backward D-SFA; a built hit that needs it unbuilt
+        # raises NotMaterialized on the loop and builds it on the pool.
+        pattern = "[a-z]+:[0-9]+"
+        data = b"a" * (spans_mod.LANE_START_MIN + 100) + b":5"
+        assert spans_mod.LANE_START_MIN <= len(data) <= INLINE_MAX_BYTES
+        resyncing = b"k:1 id:22 " * (spans_mod.LANE_START_MIN // 10 + 1)
+        m = compile_pattern(pattern)
+        assert m.span_engine().prefilter is None
+        want = list(m.finditer(data))
+        builds = []
+        construct = spans_mod.correspondence_construction
+
+        def spy(*a, **kw):
+            builds.append(threading.current_thread())
+            return construct(*a, **kw)
+
+        monkeypatch.setattr(spans_mod, "correspondence_construction", spy)
+        hops = self._count_hops(server)
+        with server.client() as c:
+            # a miss: B and its lane table are built, and no D-SFA
+            assert c.finditer(pattern, resyncing) == list(m.finditer(resyncing))
+            assert len(hops) == 1 and not builds
+            assert c.finditer(pattern, data) == want
+            assert len(hops) == 2  # the D-SFA was unbuilt: the pool
+            assert c.finditer(pattern, data) == want
+            assert len(hops) == 2  # built now: on the loop
+        assert len(builds) == 1 and server.thread not in builds
+
     def test_acceptance_planning_builds_off_the_loop(self, server, monkeypatch):
         # Above the lane gate the planner builds the scanned DFA: a hit
         # whose containment DFA is unbuilt is planned on the pool.

@@ -244,6 +244,75 @@ class TestLanePaths:
                     checked += 1
         assert checked >= 5000
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_start_pass_hands_over_exactly(self, steps, monkeypatch):
+        """Every random case again with the repair budget at 0 and 1
+        steps, so every block with a wrong guess is handed over to the
+        backward D-SFA lanes."""
+        handovers = []
+        exact = spans_mod.SpanEngine._exact_entries
+
+        def spy(eng, cols, q):
+            handovers.append(q)
+            return exact(eng, cols, q)
+
+        monkeypatch.setattr(spans_mod, "LANE_REPAIR_STEPS", steps)
+        monkeypatch.setattr(spans_mod.SpanEngine, "_exact_entries", spy)
+        self.test_start_pass_equals_mask_scan()
+        assert len(handovers) > 1000
+
+    #: Texts on which ``B``'s run from its initial state stays apart from
+    #: the true run for longer than a lane, but within the repair budget.
+    APART = [
+        # one walker crosses 40 symbols of letters after ``=5``
+        ("[a-z]+=[0-9]+", b"k" * 40 + b"=5 x"),
+        # every lane ending in ``y`` spawns a walker that starts wrong
+        # (the ``.*x`` run is unseen); the walker from the ``x`` crosses
+        # them all and its writes land last
+        (".*x|[ab]*y", b"ayab" * 8 + b"x"),
+        # consecutive wrong boundaries whose walkers rejoin at once
+        ("[a-z]+=[0-9]+", b"a=1" * 10),
+    ]
+
+    @pytest.mark.parametrize("lane", [1, 3, 4])
+    def test_repair_walkers_cross_lanes(self, lane):
+        for pattern, text in self.APART:
+            for block in (len(text), len(text) - 5, 1 << 20):
+                m = compile_pattern(pattern)
+                eng = m.span_engine()
+                classes = m.translate(text)
+                got = eng.lane_start_bits(classes, block, lane)
+                assert np.array_equal(got, _scalar_start_bits(eng, classes)), (
+                    pattern, block, lane)
+                assert eng._bsfa is None  # repaired, never handed over
+
+    @pytest.mark.parametrize("pattern, text", [
+        ("[a-z]+=[0-9]+", b"a" * (1 << 16) + b"=5"),
+        ("(ab)+c", b"ab" * (1 << 15) + b"c"),
+    ], ids=["letters", "pairs"])
+    def test_non_resyncing_text_hands_over(self, pattern, text):
+        m = compile_pattern(pattern)
+        eng = m.span_engine()
+        classes = m.translate(text)
+        assert np.array_equal(
+            eng.start_bits(classes), _scalar_start_bits(eng, classes)
+        )
+        assert eng._bsfa is not None
+
+    def test_dsfa_over_budget_only_stops_hand_overs(self, monkeypatch):
+        monkeypatch.setattr(spans_mod, "LANE_DSFA_ENTRIES", 1)
+        m = compile_pattern("[a-z]+=[0-9]+")
+        eng = m.span_engine()
+        never = m.translate(b"a" * 8192 + b"=5")
+        assert eng.lane_start_bits(never) is None and eng._bsfa_failed
+        assert np.array_equal(
+            eng.start_bits(never), _scalar_start_bits(eng, never)
+        )
+        log = m.translate(b"k=1 id=22 " * 1000)  # resyncs: needs no D-SFA
+        got = eng.lane_start_bits(log)
+        assert got is not None
+        assert np.array_equal(got, _scalar_start_bits(eng, log))
+
     def test_lane_ends_equal_scalar_walk(self):
         for rng, pattern, text in self._cases(7, 160):
             m = compile_pattern(pattern)
@@ -304,7 +373,7 @@ class TestLanePaths:
         assert eng._end_lanes is None
         text = b"key=1 " * spans_mod.LANE_START_MIN
         assert eng.spans(text) == [(6 * i, 6 * i + 5) for i in range(len(text) // 6)]
-        assert eng._bsfa is not None and eng._start_lanes is not None
+        assert eng._bsfa is None and eng._start_lanes is not None
         assert eng._end_lanes is not None
 
 
@@ -357,6 +426,34 @@ class TestAboveGateSurfaces:
             x.group().decode() + "\n" for x in re.finditer(pattern.encode(), log)
         )
         assert out == want
+
+    @pytest.mark.parametrize("pattern", ABOVE_GATE_PATTERNS)
+    def test_log_resyncs_without_a_dsfa(self, log, pattern):
+        """On log text every lane rejoins the true run within the repair
+        budget: the start pass builds no backward D-SFA."""
+        m = compile_pattern(pattern)
+        want = [x.span() for x in re.finditer(pattern.encode(), log)]
+        assert list(m.finditer(log, plan=Plan(prefilter=False))) == want
+        assert m.span_engine()._bwd is not None
+        assert m.span_engine()._bsfa is None
+
+    def test_lone_straggler_leaves_the_lanes(self):
+        """``x[a-z]*y`` where one of 401 candidate matches runs over 1 MiB
+        of ``a``: once too few lanes are live the batch leaves them to the
+        scalar walk.  Stepping that one lane alone in lockstep took ~7 s
+        on 2 vCPUs; the scalar walk takes ~0.1 s."""
+        code = (
+            "import re\n"
+            "from repro import compile_pattern\n"
+            "t = b'xay ' * 200 + b'x' + b'a' * (1 << 20) + b'y' + b' xay' * 200\n"
+            "want = [x.span() for x in re.finditer(rb'x[a-z]*y', t)]\n"
+            "assert compile_pattern('x[a-z]*y').span_engine().spans(t) == want\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=4)
 
     def test_letter_run_stays_linear(self):
         """``[a-z]+`` over 1 MiB of ``a``: every position is a start.  The
